@@ -57,8 +57,7 @@ bench-check:
 	  -tol 'BenchmarkFigure1/MG=60' -tol 'BenchmarkFigure1/SP=60' \
 	  -tol 'BenchmarkSweepFigure4All/fork=40' -tol 'BenchmarkSweepFigure4All/nofork=40' \
 	  -tol 'BenchmarkSweepTopo64=60' \
-	  -tol 'BenchmarkSweepClassWSteady/plain=40' -tol 'BenchmarkSweepClassWSteady/steady=40' \
-	  -tol 'BenchmarkSweepClassWSteady/periodk=40'
+	  -tol 'BenchmarkSweepClassWSteady/plain=40' -tol 'BenchmarkSweepClassWSteady/steady=40'
 
 # Regenerate every table and figure of the paper (EXPERIMENTS.md input).
 sweep:

@@ -115,10 +115,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	csvOut := fs.Bool("csv", false, "emit figure 1/4 data as CSV instead of bars")
 	traceDir := fs.String("trace", "", "write per-cell Chrome traces and text summaries into this directory (disables memoization)")
 	steady := fs.Bool("steady", false, "detect each cell's steady state and fast-forward the remaining iterations (bit-identical results, much less host time)")
-	extrapolate := fs.Bool("extrapolate", true, "with -steady: extrapolate the tail once detected (false = detection-only, full simulation)")
-	periodk := fs.Int("periodk", 0, "with -steady: cap the detector's orbit length (0 = default cap 8, 1 = period-one detection only)")
-	campaign := fs.Bool("campaign", true, "with -steady: analytically fast-forward converging kernel-migration campaigns (false = always simulate them; results are bit-identical either way)")
-	elide := fs.Bool("elide", false, "arm the resident-elision fast path: exact immediate repeats of all-hit bulk reads over hot pages replay as flat arithmetic (bit-identical results)")
 	threads := fs.Int("threads", 0, "simulated team size per cell (0 = all CPUs; 1 = exactly reproducible)")
 	noFork := fs.Bool("nofork", false, "simulate every cell's cold start from scratch instead of forking shared prefix snapshots (bisection aid; results are identical)")
 	topo := fs.String("topo", "", "machine shape for every figure/table-2 cell: a [cube:]LxLx...xC spec (last component = CPUs per node) or preset (origin, hier64, hier128, hier256); empty = the class default machine. Table 1 always shows the default ladder; use cmd/latency -topo for others")
@@ -139,8 +135,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	o := upmgo.SweepOptions{Seed: *seed, Iterations: *iters, Threads: *threads,
-		Steady: *steady, Extrapolate: *extrapolate, PeriodK: *periodk,
-		NoCampaignFF: !*campaign, ResidentElide: *elide, Topo: *topo}
+		Steady: *steady, Topo: *topo}
 	switch strings.ToUpper(*class) {
 	case "S":
 		o.Class = upmgo.ClassS
@@ -454,38 +449,29 @@ func (s *sweeper) recordSteady(ev upmgo.SweepEvent) {
 }
 
 // steadySummary renders the -steady footer: how many unique cells
-// fast-forwarded, split by mechanism (a cell that drains a campaign and
-// then extrapolates counts under both), and the median iteration at which
-// detection fired. Empty when -steady was off or nothing finished.
+// extrapolated, split by proven period (one, or k ≥ 2), and the median
+// iteration at which detection fired. Empty when -steady was off or
+// nothing finished.
 func (s *sweeper) steadySummary() string {
 	if len(s.steady) == 0 {
 		return ""
 	}
-	var p1, pk, camp, ffwd int
+	var p1, pk int
 	var ats []int
 	for _, ev := range s.steady {
 		if ev.SteadyAt > 0 {
 			ats = append(ats, ev.SteadyAt)
 		}
-		ff := false
 		if ev.ExtrapolatedIters > 0 {
-			ff = true
 			if ev.SteadyPeriod > 1 {
 				pk++
 			} else {
 				p1++
 			}
 		}
-		if ev.CampaignIters > 0 {
-			ff = true
-			camp++
-		}
-		if ff {
-			ffwd++
-		}
 	}
-	line := fmt.Sprintf("sweep: %d of %d cells extrapolated (period-1: %d, period-k: %d, campaign: %d)",
-		ffwd, len(s.steady), p1, pk, camp)
+	line := fmt.Sprintf("sweep: %d of %d cells extrapolated (period-1: %d, period-k: %d)",
+		p1+pk, len(s.steady), p1, pk)
 	if len(ats) > 0 {
 		sort.Ints(ats)
 		line += fmt.Sprintf(", median SteadyAt=%d", ats[len(ats)/2])

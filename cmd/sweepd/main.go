@@ -23,7 +23,7 @@
 //	sweepd -store results/ -addr localhost:8080
 //	curl -d '{"kind":"figure1","options":{"class":"S","threads":1}}' localhost:8080/v1/jobs
 //	curl -d '{"kind":"figure4","options":{"class":"W","topo":"hier64"}}' localhost:8080/v1/jobs
-//	curl -d '{"kind":"toposcale","options":{"class":"W","steady":true}}' localhost:8080/v1/jobs
+//	curl -d '{"kind":"figure4","options":{"class":"W","threads":1,"steady":true}}' localhost:8080/v1/jobs  # extrapolate steady tails
 //	curl localhost:8080/v1/jobs/job-1
 //	sweepd -store results/ -check     # offline admin: verify every record
 //	sweepd -store results/ -gc 64e6   # drop corrupt/stale, evict to 64 MB

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -351,5 +352,75 @@ func TestCellsSharedWithCLIStore(t *testing.T) {
 	}
 	if !bytes.Equal(body, want) {
 		t.Error("daemon served different bytes than the CLI-written record")
+	}
+}
+
+// steadyCGAddresses are the store addresses `sweep -fig 1 -class S
+// -benches CG -threads 1 -steady -iters 12 -store dir` writes (seed 42 is
+// the CLI default): the eight Figure 1 CG cells, keyed as extrapolating
+// steady runs. Class S CG's default 4 iterations end on the detection
+// point, so the request asks for 12 to leave a tail.
+var steadyCGAddresses = []string{
+	"384160660c23b13058826a57a113e5e3176c6fad89200f809f157a1828d17cf6",
+	"51e74dd334499d44f9422888f305d10c92453c024ccfb4b67be5867707c1c8e5",
+	"6141e99e8a876bdab40ba7a429e56634370fd6ce5fa9a235394d2988c712104d",
+	"86c81e0a431c50c0e2f63fb705e35487136cd2034e6b5d42ee69e0bcb3a67f01",
+	"c7a08a818b6aa5fcefad94dce815fc59880680def7a790a049fc01bfd54b6bcf",
+	"c93b7e1b6c6fe05c1e27ff9210b62bacf526e421d9fd2a72e39a3f964e9aa120",
+	"cdeec8e15002e5e65d8f9a615cbebb8eb1e41f0647a73f7883095515af2abf51",
+	"efa24a89bec0e19cf4c339a6550f6bc541c492615d5053f726821ff530655c8b",
+}
+
+// TestSteadyJobExtrapolates: "steady": true alone is a complete steady
+// request — every cell fast-forwards its tail, and the cells land at the
+// same store addresses the CLI's -steady writes, so daemon and CLI share
+// one store.
+func TestSteadyJobExtrapolates(t *testing.T) {
+	_, ts := startServer(t)
+	j, resp := postJob(t, ts,
+		`{"kind":"figure1","options":{"class":"S","benches":["CG"],"threads":1,"iterations":12,"seed":42,"steady":true}}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: %s", resp.Status)
+	}
+	final := waitDone(t, ts, j.ID)
+	if final.State != jobDone || final.Result == nil {
+		t.Fatalf("job failed: %s", final.Error)
+	}
+	for _, c := range final.Result.Cells {
+		if c.Result.ExtrapolatedIters == 0 {
+			t.Errorf("cell %s: steady job did not extrapolate (steady_at %d)", c.Label, c.Result.SteadyAt)
+		}
+	}
+	var got []string
+	for _, ref := range final.Cells {
+		got = append(got, ref.Address)
+	}
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, steadyCGAddresses) {
+		t.Errorf("steady job addresses differ from the CLI's -steady store:\n got %v\nwant %v", got, steadyCGAddresses)
+	}
+}
+
+// TestRemovedOptionsRejected: the retired steady-state toggles are not
+// silently ignored — a request carrying one is a 400 that names it.
+func TestRemovedOptionsRejected(t *testing.T) {
+	_, ts := startServer(t)
+	for _, field := range []string{
+		`"extrapolate":false`, `"period_k":1`, `"no_campaign_ff":true`, `"resident_elide":true`,
+	} {
+		body := `{"kind":"figure1","options":{"class":"S","steady":true,` + field + `}}`
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: got %s, want 400", field, resp.Status)
+		}
+		name := field[:strings.Index(field, ":")]
+		if !strings.Contains(string(msg), strings.ReplaceAll(name, `"`, `\"`)) {
+			t.Errorf("%s: error %s does not name the field", field, msg)
+		}
 	}
 }

@@ -200,28 +200,12 @@ type SweepOptions struct {
 	// the simulator's intra-team interleaving (see the equivalence
 	// contract in internal/nas).
 	Threads int `json:"threads,omitempty"`
-	// Steady arms the steady-state detector on every cell
-	// (nas.Config.SteadyState); with Extrapolate also set, each cell
-	// fast-forwards its tail once the per-iteration delta is proven to
-	// repeat, cutting host time while every reported virtual-time
-	// quantity stays bit-identical (the contract internal/nas's
-	// steady-state tests enforce). Steady without Extrapolate is
-	// detection-only: full simulation plus Result.SteadyAt.
-	Steady      bool `json:"steady,omitempty"`
-	Extrapolate bool `json:"extrapolate,omitempty"`
-	// PeriodK caps the steady detector's orbit length per cell
-	// (nas.Config.PeriodK): 0 = the default cap (8), 1 = period-one
-	// detection only. Meaningful only with Steady.
-	PeriodK int `json:"period_k,omitempty"`
-	// NoCampaignFF disables the analytic campaign fast-forward on cells
-	// where it would otherwise arm (extrapolating kernel-migration runs);
-	// detection and extrapolation still apply. For A/B timing — results
-	// are bit-identical either way.
-	NoCampaignFF bool `json:"no_campaign_ff,omitempty"`
-	// ResidentElide arms the machine's resident-elision fast path on
-	// every cell (nas.Config.ResidentElide). Bit-identical by proof;
-	// never part of a cell's fingerprint.
-	ResidentElide bool `json:"resident_elide,omitempty"`
+	// Steady arms the steady-state fast-forward on every cell
+	// (nas.Config.SteadyState): each cell fast-forwards its tail once
+	// the per-iteration delta is proven to repeat, cutting host time
+	// while every reported virtual-time quantity stays bit-identical
+	// (the contract internal/nas's steady-state tests enforce).
+	Steady bool `json:"steady,omitempty"`
 	// Topo runs every cell on a machine of this shape (a
 	// topology.ParseShape string or preset — "4x2x8", "hier64",
 	// "cube:2x2x2") instead of the class default. For the toposcale sweep
@@ -265,9 +249,7 @@ func Figure1Specs(o SweepOptions) []CellSpec {
 				specs = append(specs, CellSpec{bench, nas.Config{
 					Class: o.Class, Placement: p, KernelMig: km,
 					Seed: o.Seed, Iterations: o.Iterations, Threads: o.Threads,
-					SteadyState: o.Steady, Extrapolate: o.Steady && o.Extrapolate,
-					PeriodK: o.PeriodK, NoCampaignFF: o.NoCampaignFF, ResidentElide: o.ResidentElide,
-					Topo: o.Topo,
+					SteadyState: o.Steady, Topo: o.Topo,
 				}})
 			}
 		}
@@ -291,9 +273,7 @@ func Figure4Specs(o SweepOptions) []CellSpec {
 				specs = append(specs, CellSpec{bench, nas.Config{
 					Class: o.Class, Placement: p, KernelMig: mode.km, UPM: mode.upm,
 					Seed: o.Seed, Iterations: o.Iterations, Threads: o.Threads,
-					SteadyState: o.Steady, Extrapolate: o.Steady && o.Extrapolate,
-					PeriodK: o.PeriodK, NoCampaignFF: o.NoCampaignFF, ResidentElide: o.ResidentElide,
-					Topo: o.Topo,
+					SteadyState: o.Steady, Topo: o.Topo,
 				}})
 			}
 		}
@@ -369,9 +349,7 @@ func Table2Specs(o SweepOptions) []CellSpec {
 			specs = append(specs, CellSpec{bench, nas.Config{
 				Class: o.Class, Placement: p, UPM: nas.UPMDistribute,
 				Seed: o.Seed, Iterations: o.Iterations, Threads: o.Threads,
-				SteadyState: o.Steady, Extrapolate: o.Steady && o.Extrapolate,
-				PeriodK: o.PeriodK, NoCampaignFF: o.NoCampaignFF, ResidentElide: o.ResidentElide,
-				Topo: o.Topo,
+				SteadyState: o.Steady, Topo: o.Topo,
 			}})
 		}
 	}
@@ -448,10 +426,6 @@ func Figure5Specs(o SweepOptions) []CellSpec {
 			cfg.Threads = o.Threads
 			cfg.ComputeScale = o.Scale
 			cfg.SteadyState = o.Steady
-			cfg.Extrapolate = o.Steady && o.Extrapolate
-			cfg.PeriodK = o.PeriodK
-			cfg.NoCampaignFF = o.NoCampaignFF
-			cfg.ResidentElide = o.ResidentElide
 			cfg.Topo = o.Topo
 			// Repeating each phase body in place (the paper's synthetic
 			// scaling) changes the numerics, exactly as in the paper,

@@ -10,18 +10,13 @@ import (
 // FastPathKind classifies how a cell's answer was obtained, from
 // cheapest to most expensive. The classification is strictly ordered:
 // a recalled cell is "recalled" even if the process that originally
-// simulated it extrapolated, and a campaign-drained cell that also
-// extrapolated its tail counts as "campaign_ff" (the drain covers the
-// larger share of skipped iterations).
+// simulated it extrapolated.
 type FastPathKind string
 
 const (
 	// FastPathRecalled: served from the RAM cache, an in-flight
 	// duplicate, or the on-disk store — no simulation at all.
 	FastPathRecalled FastPathKind = "recalled"
-	// FastPathCampaign: a converging kernel-migration campaign was
-	// drained analytically.
-	FastPathCampaign FastPathKind = "campaign_ff"
 	// FastPathSteadyPK: a period-k (k ≥ 2) orbit was proven and the
 	// tail extrapolated.
 	FastPathSteadyPK FastPathKind = "steady_period_k"
@@ -35,7 +30,7 @@ const (
 // FastPathKinds is the presentation order of the kinds (cheapest first),
 // shared with cmd/traceview's report renderer.
 var FastPathKinds = []FastPathKind{
-	FastPathRecalled, FastPathCampaign, FastPathSteadyPK, FastPathSteadyP1, FastPathFullSim,
+	FastPathRecalled, FastPathSteadyPK, FastPathSteadyP1, FastPathFullSim,
 }
 
 // StageSeconds is a cell's (or a sweep's) host wall-time split by stage,
@@ -157,8 +152,6 @@ func classifyFastPath(source string, r nas.Result) FastPathKind {
 	switch {
 	case source != SourceSimulated:
 		return FastPathRecalled
-	case r.CampaignIters > 0:
-		return FastPathCampaign
 	case r.ExtrapolatedIters > 0 && r.SteadyPeriod > 1:
 		return FastPathSteadyPK
 	case r.ExtrapolatedIters > 0:

@@ -35,7 +35,7 @@ func collectReports(t *testing.T, r Runner, specs []CellSpec) []*CellReport {
 func TestCellReportSimulated(t *testing.T) {
 	specs := []CellSpec{
 		{Bench: "BT", Config: nas.Config{Class: nas.ClassS, Threads: 1, Iterations: 12,
-			SteadyState: true, Extrapolate: true}},
+			SteadyState: true}},
 		{Bench: "BT", Config: nas.Config{Class: nas.ClassS, Threads: 1, Iterations: 4}},
 	}
 	reports := collectReports(t, Runner{Jobs: 1, Cache: NewCache()}, specs)
@@ -141,7 +141,7 @@ func TestCellReportStoreRecalled(t *testing.T) {
 // aggregation buckets it.
 func TestCellReportWhyNotFlows(t *testing.T) {
 	specs := []CellSpec{{Bench: "BT", Config: nas.Config{Class: nas.ClassS, Threads: 1,
-		Iterations: 3, SteadyState: true, Extrapolate: true}}}
+		Iterations: 3, SteadyState: true}}}
 	reports := collectReports(t, Runner{Jobs: 1, Cache: NewCache()}, specs)
 	w := reports[0].FastPath.WhyNot
 	if w == nil || w.Reason != nas.WhyNotLoopTooShort {

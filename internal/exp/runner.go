@@ -52,13 +52,11 @@ type Event struct {
 	// Steady-state accounting of the finished cell, copied from its
 	// Result (zero when the cell simulated every iteration): the
 	// iteration the detector fired at, the proven orbit length (0 or 1 =
-	// period one), and the iterations covered by detector extrapolation
-	// and by the analytic campaign drain. cmd/sweep aggregates these into
-	// its -steady summary line.
+	// period one), and the iterations extrapolated. cmd/sweep aggregates
+	// these into its -steady summary line.
 	SteadyAt          int
 	SteadyPeriod      int
 	ExtrapolatedIters int
-	CampaignIters     int
 	// Report is the cell's full host-side telemetry record (provenance,
 	// fast-path flags and WhyNot, host time by stage). Set on finished
 	// events; never nil there. Aggregate with BuildSweepReport.
@@ -193,7 +191,6 @@ func (r Runner) Cells(ctx context.Context, specs []CellSpec) ([]Cell, error) {
 					VirtualS: c.Seconds(), Host: host, Err: err,
 					SteadyAt: c.Result.SteadyAt, SteadyPeriod: c.Result.SteadyPeriod,
 					ExtrapolatedIters: c.Result.ExtrapolatedIters,
-					CampaignIters:     c.Result.CampaignIters,
 					Report:            rep})
 				if err != nil {
 					cancel()

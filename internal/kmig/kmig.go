@@ -74,8 +74,6 @@ type Engine struct {
 	rejected   int64 // candidates dropped by the per-scan throttle
 	costPS     int64 // total picoseconds charged
 
-	obs func(ScanSample) // campaign observer, nil when unset
-
 	row []uint32 // scratch counter row
 }
 
@@ -163,7 +161,7 @@ func (e *Engine) AppendCounterNames(dst []string) []string {
 // lastScan advances with its proven delta too: on a periodic orbit the
 // last scan time moves forward by exactly the cycle's span, which keeps
 // the MinScanPS gate's phase correct if charged simulation ever resumes
-// after the jump (the analytic campaign drain does resume it).
+// after the jump.
 func (e *Engine) ApplyCounterDelta(delta []int64, k int64) {
 	if len(delta) != e.CounterLen() {
 		panic("kmig: counter delta length mismatch")
@@ -177,11 +175,9 @@ func (e *Engine) ApplyCounterDelta(delta []int64, k int64) {
 }
 
 // ScanCursor is the engine's barrier-gating state: everything the hook
-// reads to decide whether a barrier scans. The analytic campaign drain
-// (internal/nas) advances a private cursor over a cloned page table with
-// StepBarrier — the exact code path the live hook runs — and installs it
-// with CommitCampaign, so drained and simulated gating are identical by
-// construction.
+// reads to decide whether a barrier scans. StepBarrier advances a cursor
+// over any page table with exactly the code path the live hook runs, so
+// callers can drive the engine's scan logic outside a barrier.
 type ScanCursor struct {
 	Barriers, Scans, LastScan int64
 }
@@ -205,36 +201,8 @@ func (e *Engine) GatePhase() int64 {
 	return 0
 }
 
-// ScanSample reports one completed scan to a campaign observer: its
-// ordinal, the pages it moved, the candidates the throttle rejected, the
-// cost it charged and the barrier time it ran at.
-type ScanSample struct {
-	Scan     int64
-	Moved    int
-	Rejected int64
-	Cost     int64
-	Now      int64
-}
-
-// SetObserver registers a callback invoked after every live scan (never
-// during a drain). Observation only — the callback must not mutate
-// simulation state.
-func (e *Engine) SetObserver(fn func(ScanSample)) { e.obs = fn }
-
 // Resolved returns the engine's configuration with defaults applied.
 func (e *Engine) Resolved() Config { return e.cfg }
-
-// CommitCampaign installs the gating cursor and adds the counter totals
-// a drained campaign computed with StepBarrier. The migration count is
-// not added here: the drain runs pt.Migrate against a clone that then
-// becomes the live page table, so the page-table tally is already real —
-// only the engine's own cumulative counters need the totals.
-func (e *Engine) CommitCampaign(cur ScanCursor, migrations, rejected, cost int64) {
-	e.barriers, e.scans, e.lastScan = cur.Barriers, cur.Scans, cur.LastScan
-	e.migrations += migrations
-	e.rejected += rejected
-	e.costPS += cost
-}
 
 // ScanResult is one StepBarrier outcome. Scanned is false when a gate
 // (ScanEvery, MinScanPS) suppressed the scan.
@@ -318,9 +286,6 @@ func (e *Engine) hook(now int64) int64 {
 	e.migrations += int64(r.Moved)
 	e.rejected += r.Rejected
 	e.costPS += r.Cost
-	if e.obs != nil {
-		e.obs(ScanSample{Scan: e.scans, Moved: r.Moved, Rejected: r.Rejected, Cost: r.Cost, Now: now})
-	}
 	if trc != nil {
 		trc.Emit(trace.Event{Time: now, CPU: trace.KernelCPU, Kind: trace.EvKmigScan,
 			Arg0: int64(r.Moved), Arg1: r.Cost})

@@ -41,11 +41,6 @@ func (m *Machine) Clone() *Machine {
 		// refCounting carries over; freeRun deliberately does not — a
 		// clone is taken at a quiescent point and starts simulating.
 		refCounting: m.refCounting,
-		// The resident-elision switch and armed pages carry over; the
-		// per-CPU repeat memos do not (they are pure heuristics — replay
-		// re-proves everything — so a memo-free clone is bit-identical).
-		residentElide: m.residentElide,
-		elideArmed:    append([]bool(nil), m.elideArmed...),
 	}
 	c.cpus = make([]*CPU, len(m.cpus))
 	for i, src := range m.cpus {

@@ -240,53 +240,6 @@ func (c *Cache) AccessLines(addr uint64, nLines, firstCount, perLine, lastCount 
 	return misses, missAddr, missVer
 }
 
-// ResidentRun checks that the nLines consecutive lines starting at the
-// line containing addr are all resident with stored coherence version ver,
-// appending each line's slot index to slots. It mutates nothing and reads
-// no LRU state, so a failed check (ok=false, slots possibly part-filled
-// for the caller to discard) leaves the cache untouched and the normal
-// access path free to run. The resident-elision fast path of
-// internal/machine uses it as the proof obligation before Replay.
-func (c *Cache) ResidentRun(addr uint64, nLines int, ver uint32, slots []int32) ([]int32, bool) {
-	line := addr >> c.lineShift
-	for i := 0; i < nLines; i++ {
-		set := int(line&c.setMask) * c.ways
-		tag := line + 1
-		found := -1
-		for w := 0; w < c.ways; w++ {
-			if c.tags[set+w] == tag {
-				found = set + w
-				break
-			}
-		}
-		if found < 0 || c.vers[found] != ver {
-			return slots, false
-		}
-		slots = append(slots, int32(found))
-		line++
-	}
-	return slots, true
-}
-
-// Replay charges a proven all-hit read run over previously collected
-// slots: counts[i] guaranteed hits to slots[i], in line order. Tick, the
-// hit count and the slots' LRU stamps come out bit-identical to the
-// AccessRange/AccessLines walk the normal path would have performed; tags
-// and versions are untouched, which is exact because ResidentRun proved
-// each stored version already equals the value a read hit would re-stamp.
-func (c *Cache) Replay(slots []int32, counts []int32) {
-	tick := c.tick
-	var n uint64
-	for i, s := range slots {
-		cnt := uint64(counts[i])
-		tick += cnt
-		n += cnt
-		c.age[s] = tick
-	}
-	c.tick = tick
-	c.hits += n
-}
-
 // Clone returns a deep copy of the cache: tags, coherence versions, LRU
 // state and hit/miss counters. Subsequent accesses to either copy leave
 // the other bit-for-bit untouched, which is what lets a forked machine

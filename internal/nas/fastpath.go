@@ -21,18 +21,11 @@ type FastPath struct {
 	// Extrapolated: the trailing iterations were fast-forwarded
 	// analytically (Result.ExtrapolatedIters of them).
 	Extrapolated bool `json:"extrapolated,omitempty"`
-	// CampaignFF: a kernel-migration campaign was drained in closed form
-	// (Result.CampaignIters iterations).
-	CampaignFF bool `json:"campaign_ff,omitempty"`
-	// ResidentElide: page-granular charging elision was armed
-	// (Config.ResidentElide). Results are bit-identical either way; the
-	// flag records only where the host time went.
-	ResidentElide bool `json:"resident_elide,omitempty"`
 	// TailCacheHit: the free-run verification tail was skipped because a
 	// numerically identical run had already verified (Config.TailCache).
 	TailCacheHit bool `json:"tail_cache_hit,omitempty"`
 	// WhyNot explains why fast-forwarding declined. Nil when it engaged
-	// (Extrapolated or CampaignFF), or when SteadyState was never armed.
+	// (Extrapolated), or when SteadyState was never armed.
 	WhyNot *WhyNot `json:"why_not,omitempty"`
 }
 
@@ -43,9 +36,6 @@ const (
 	// WhyNotSampler: a metrics sampler was attached; it must see every
 	// iteration simulated, so the detector never arms.
 	WhyNotSampler WhyNotReason = "sampler_attached"
-	// WhyNotDetectionOnly: the orbit was proven but Config.Extrapolate
-	// was off, so the run kept simulating by request.
-	WhyNotDetectionOnly WhyNotReason = "detection_only"
 	// WhyNotNoTail: the orbit was proven on the final iteration; there
 	// was nothing left to fast-forward.
 	WhyNotNoTail WhyNotReason = "no_tail"
@@ -58,12 +48,13 @@ const (
 	// remained.
 	WhyNotPerturbed WhyNotReason = "perturbed"
 	// WhyNotPeriodBeyondCap: the reference string does repeat, but with a
-	// period above the detector's cap (Config.PeriodK, default 8) — the
+	// period above the detector's cap of 8 — the
 	// adversarial fallback: such runs simulate in full by design.
 	WhyNotPeriodBeyondCap WhyNotReason = "period_beyond_cap"
 	// WhyNotHomesMoving: the page-home map never went stationary — an
-	// ongoing migration campaign the analytic drain could not prove
-	// deterministic (the incompressible kmig cells).
+	// ongoing migration campaign moved pages every iteration, so no two
+	// iterations started from the same state (the incompressible kmig
+	// cells).
 	WhyNotHomesMoving WhyNotReason = "homes_moving"
 	// WhyNotAperiodic: the counter deltas themselves never repeated; the
 	// reference string is genuinely aperiodic at every period tried.
@@ -107,8 +98,6 @@ func (w *WhyNot) String() string {
 	switch w.Reason {
 	case WhyNotSampler:
 		return "metrics sampler attached: every iteration must be simulated to be sampled"
-	case WhyNotDetectionOnly:
-		return fmt.Sprintf("steady orbit proven (period %d) but extrapolation not requested", maxInt(w.BestPeriod, 1))
 	case WhyNotNoTail:
 		return fmt.Sprintf("steady orbit proven (period %d) on the final iteration: no tail left to fast-forward", maxInt(w.BestPeriod, 1))
 	case WhyNotLoopTooShort:
@@ -119,7 +108,7 @@ func (w *WhyNot) String() string {
 	case WhyNotPeriodBeyondCap:
 		return fmt.Sprintf("reference string repeats with period %d, beyond the detector's cap: simulated in full by design", w.BestPeriod)
 	case WhyNotHomesMoving:
-		return fmt.Sprintf("page-home map kept moving (%d of %d iterations): an ongoing migration campaign the analytic drain could not prove deterministic",
+		return fmt.Sprintf("page-home map kept moving (%d of %d iterations): an ongoing migration campaign never let the orbit close",
 			w.HomeMoves, w.Observed)
 	case WhyNotAperiodic:
 		return fmt.Sprintf("counter deltas never repeated: %s diverged on the best candidate (period %d, streak %d/%d)",
@@ -157,7 +146,7 @@ type HostStages struct {
 	// Extrapolate: applying the proven cycle deltas analytically.
 	Extrapolate time.Duration `json:"extrapolate,omitempty"`
 	// FreeRunTail: re-executing remaining steps in free-run mode for the
-	// numerics (the extrapolation tail and analytic campaign drains).
+	// numerics (the extrapolation tail).
 	FreeRunTail time.Duration `json:"free_run_tail,omitempty"`
 	// Verify: the numerical check.
 	Verify time.Duration `json:"verify,omitempty"`

@@ -1,7 +1,6 @@
 package nas
 
 import (
-	"strings"
 	"testing"
 
 	"upmgo/internal/machine"
@@ -51,88 +50,6 @@ func TestFingerprintDistinguishesEveryDial(t *testing.T) {
 			t.Errorf("variants %d and %d collide: %s", j, i, fp)
 		}
 		seen[fp] = i
-	}
-}
-
-// TestFingerprintCanonicalisesPeriodK: only an explicit restriction
-// (1..steadyPeriodMax-1) under an active detector partitions the key
-// space; 0, the cap and beyond collide with the default, and without
-// SteadyState the field is dead. The suffix form is pinned so historical
-// store records keep their keys.
-func TestFingerprintCanonicalisesPeriodK(t *testing.T) {
-	steady := Config{Class: ClassS, SteadyState: true}
-	def, ok := steady.Fingerprint()
-	if !ok {
-		t.Fatal("steady config not memoizable")
-	}
-	for _, k := range []int{0, steadyPeriodMax, steadyPeriodMax + 3} {
-		c := steady
-		c.PeriodK = k
-		if fp, _ := c.Fingerprint(); fp != def {
-			t.Errorf("PeriodK=%d must collide with the default cap:\n%s\n%s", k, fp, def)
-		}
-	}
-	c := steady
-	c.PeriodK = 2
-	fp2, _ := c.Fingerprint()
-	if fp2 == def {
-		t.Error("an explicit PeriodK=2 restriction must partition the key space")
-	}
-	if !strings.HasSuffix(fp2, " periodk=2") {
-		t.Errorf("PeriodK joins the key as a suffix, got %q", fp2)
-	}
-	plain := Config{Class: ClassS}
-	fplain, _ := plain.Fingerprint()
-	plain.PeriodK = 2
-	if fp, _ := plain.Fingerprint(); fp != fplain {
-		t.Error("PeriodK must be dead without SteadyState")
-	}
-}
-
-// TestFingerprintCanonicalisesCampaignToggle: NoCampaignFF partitions the
-// key space exactly when the campaign fast-forward could arm —
-// SteadyState+Extrapolate under the kernel engine with UPMlib off — and
-// is dead everywhere else.
-func TestFingerprintCanonicalisesCampaignToggle(t *testing.T) {
-	armed := Config{Class: ClassS, KernelMig: true, SteadyState: true, Extrapolate: true}
-	fa, _ := armed.Fingerprint()
-	on := armed
-	on.NoCampaignFF = true
-	fn, _ := on.Fingerprint()
-	if fn == fa {
-		t.Error("NoCampaignFF must partition the key space when the campaign path can arm")
-	}
-	if !strings.HasSuffix(fn, " nocampff") {
-		t.Errorf("NoCampaignFF joins the key as a suffix, got %q", fn)
-	}
-	dead := []Config{
-		{Class: ClassS, KernelMig: true, SteadyState: true},   // detection only
-		{Class: ClassS, SteadyState: true, Extrapolate: true}, // no kernel engine
-		{Class: ClassS, KernelMig: true},                      // no detector at all
-		{Class: ClassS, KernelMig: true, SteadyState: true, Extrapolate: true,
-			UPM: UPMDistribute}, // UPMlib owns placement
-	}
-	for i, d := range dead {
-		base, _ := d.Fingerprint()
-		d.NoCampaignFF = true
-		if fp, _ := d.Fingerprint(); fp != base {
-			t.Errorf("dead NoCampaignFF changed the fingerprint of variant %d:\n%s\n%s", i, fp, base)
-		}
-	}
-}
-
-// TestFingerprintIgnoresResidentElide: elision is proven bit-identical
-// including all metadata, so both settings must share one cache entry.
-func TestFingerprintIgnoresResidentElide(t *testing.T) {
-	for i, cfg := range []Config{
-		{Class: ClassS},
-		{Class: ClassS, KernelMig: true, SteadyState: true, Extrapolate: true},
-	} {
-		base, _ := cfg.Fingerprint()
-		cfg.ResidentElide = true
-		if fp, _ := cfg.Fingerprint(); fp != base {
-			t.Errorf("ResidentElide changed fingerprint %d:\n%s\n%s", i, fp, base)
-		}
 	}
 }
 

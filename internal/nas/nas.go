@@ -253,46 +253,20 @@ type Config struct {
 	// SkipVerify skips the numerical check (benchmarks that time very
 	// few iterations on purpose may not converge).
 	SkipVerify bool `json:"skip_verify,omitempty"`
-	// SteadyState arms the steady-state detector: at the end of every
-	// timed iteration (past PerturbAt, if set) it snapshots the machine
-	// and engine counters, and when SteadyWindow consecutive iterations
-	// produce identical deltas with a stationary page-home map it records
-	// the iteration in Result.SteadyAt. Detection is observation-only
-	// unless Extrapolate is also set. Ignored when Metrics is attached:
-	// the sampler needs every iteration simulated.
-	SteadyState bool `json:"steady_state,omitempty"`
-	// Extrapolate, with SteadyState, fast-forwards the run at detection:
+	// SteadyState arms the steady-state fast-forward: at the end of every
+	// timed iteration (past PerturbAt, if set) the detector snapshots the
+	// machine and engine counters, and when the last three whole cycles of
+	// per-iteration deltas repeat (period ≤ 8) with a stationary page-home
+	// map it records the iteration in Result.SteadyAt and extrapolates:
 	// the remaining iterations' virtual time and counters are added
-	// analytically (remaining × the proven per-iteration delta) and the
-	// kernel re-executes the remaining steps in free-run mode so the
-	// numerics still reach their exact final state for Verify. Every
-	// virtual-time quantity of the Result is bit-identical to the fully
-	// simulated run (steady_test.go proves it per benchmark and engine).
-	Extrapolate bool `json:"extrapolate,omitempty"`
-	// SteadyWindow is the number of consecutive identical deltas that
-	// proves steadiness. 0 means the default (3).
-	SteadyWindow int `json:"steady_window,omitempty"`
-	// PeriodK caps the orbit length the steady-state detector considers:
-	// the detector proves period-k repetition for the minimal k ≤ PeriodK.
-	// 0 means the default cap (8); 1 restricts detection to the original
-	// period-one orbits. Extrapolated results are bit-identical to
-	// simulated ones for every k, so the cap only moves Result.SteadyAt/
-	// SteadyPeriod metadata; the default canonicalises out of Fingerprint.
-	PeriodK int `json:"period_k,omitempty"`
-	// NoCampaignFF disables the analytic campaign fast-forward (on by
-	// default with SteadyState+Extrapolate under the kernel engine): the
-	// closed-form drain of a kernel-migration campaign whose remaining
-	// trajectory is proven deterministic. The drain is bit-identical to
-	// full simulation (campaign_test.go proves it), so the toggle exists
-	// for A/B timing and debugging only.
-	NoCampaignFF bool `json:"no_campaign_ff,omitempty"`
-	// ResidentElide arms page-granular charging elision: exact repeats of
-	// a read-only bulk access run over armed, proven-cache-resident pages
-	// replay their recorded L1-hit charging instead of walking the memory
-	// system. Every replay is guarded by a per-call residency and
-	// coherence re-check, so results are bit-identical with or without it
-	// (it never partitions the fingerprint space).
-	ResidentElide bool `json:"resident_elide,omitempty"`
+	// analytically (the proven cycle of deltas, each position times its
+	// multiplicity) and the kernel re-executes the remaining steps in
+	// free-run mode so the numerics still reach their exact final state
+	// for Verify. Every virtual-time quantity of the Result is
+	// bit-identical to the fully simulated run (steady_test.go proves it
+	// per benchmark and engine). Ignored when Metrics is attached: the
+	// sampler needs every iteration simulated.
+	SteadyState bool `json:"steady_state,omitempty"`
 	// TailCache, when non-nil, shares verification outcomes between runs
 	// with identical numerics (see VerifyCache). An extrapolating run
 	// that finds its trajectory already verified skips the free-run
@@ -339,37 +313,17 @@ func (c Config) Fingerprint() (string, bool) {
 	if c.ComputeScale < 1 {
 		c.ComputeScale = 1
 	}
-	// Steady-state knobs are canonicalised the way runMain reads them:
-	// without SteadyState the other two fields are dead, and window 0 is
-	// the default. (SteadyState stays in the key even though extrapolated
-	// results are bit-identical to simulated ones — Result.SteadyAt and
-	// ExtrapolatedIters do differ.)
-	if !c.SteadyState {
-		c.Extrapolate = false
-		c.SteadyWindow = 0
-	} else if c.SteadyWindow <= 0 {
-		c.SteadyWindow = steadyWindowDefault
+	// The frozen view keeps the fields of the era when detection and
+	// extrapolation were separate switches with a tunable window: a
+	// steady run renders as extrapolating at the constant window, a plain
+	// run as neither, which are exactly the historical keys of the
+	// -steady and plain spellings. (SteadyState stays in the key even
+	// though extrapolated results are bit-identical to simulated ones —
+	// Result.SteadyAt and ExtrapolatedIters do differ.)
+	window := 0
+	if c.SteadyState {
+		window = steadyWindow
 	}
-	// The PR-9 toggles canonicalise the way runMain reads them, and join
-	// the frozen fingerprintView only as suffixes (the same compatibility
-	// discipline as Topo) so historical keys survive:
-	//   - PeriodK: dead without SteadyState; 0 and ≥ the cap collide with
-	//     the default. Only an explicit restriction (1..7) partitions the
-	//     space — like SteadyState itself it changes Result.SteadyAt/
-	//     SteadyPeriod metadata, never the physical quantities.
-	//   - NoCampaignFF: dead unless the campaign path could arm
-	//     (SteadyState+Extrapolate under the kernel engine, no UPM).
-	//     Changes CampaignIters metadata when a campaign closes.
-	//   - ResidentElide: canonicalised out entirely. Elision is proven
-	//     bit-identical including all metadata, so both settings share one
-	//     key (the guarantee TestFingerprintCanonicalisation pins).
-	if !c.SteadyState || c.PeriodK <= 0 || c.PeriodK >= steadyPeriodMax {
-		c.PeriodK = 0
-	}
-	if !c.SteadyState || !c.Extrapolate || !c.KernelMig || c.UPM != UPMOff {
-		c.NoCampaignFF = false
-	}
-	c.ResidentElide = false
 	fp := fmt.Sprintf("%+v", fingerprintView{
 		Class:        c.Class,
 		Placement:    c.Placement,
@@ -384,17 +338,11 @@ func (c Config) Fingerprint() (string, bool) {
 		Seed:         c.Seed,
 		SkipVerify:   c.SkipVerify,
 		SteadyState:  c.SteadyState,
-		Extrapolate:  c.Extrapolate,
-		SteadyWindow: c.SteadyWindow,
+		Extrapolate:  c.SteadyState,
+		SteadyWindow: window,
 	})
 	if t := c.canonTopo(); t != "" {
 		fp += " topo=" + t
-	}
-	if c.PeriodK != 0 {
-		fp += fmt.Sprintf(" periodk=%d", c.PeriodK)
-	}
-	if c.NoCampaignFF {
-		fp += " nocampff"
 	}
 	return fp, true
 }
@@ -550,31 +498,22 @@ type Result struct {
 	// SteadyAt is the iteration at whose end the steady-state detector
 	// (Config.SteadyState) proved the per-iteration delta repeats; 0 when
 	// detection was off or never fired. ExtrapolatedIters is how many of
-	// the trailing iterations were extrapolated instead of simulated
-	// (Config.Extrapolate); their IterPS/PhasePS entries are the proven
-	// per-iteration deltas, so the sum contracts over IterPS and TotalPS
-	// hold exactly as in a fully simulated run.
+	// the trailing iterations were extrapolated instead of simulated;
+	// their IterPS/PhasePS entries are the proven per-iteration deltas,
+	// so the sum contracts over IterPS and TotalPS hold exactly as in a
+	// fully simulated run.
 	SteadyAt          int `json:"steady_at,omitempty"`
 	ExtrapolatedIters int `json:"extrapolated_iters,omitempty"`
 	// SteadyPeriod is the proven orbit length behind SteadyAt; omitted
 	// (0) when detection never fired and elided when 1, so records from
 	// the period-one era decode identically.
 	SteadyPeriod int `json:"steady_period,omitempty"`
-	// CampaignAt/CampaignIters report the analytic campaign fast-forward:
-	// the iteration at whose end the kernel engine's remaining migration
-	// campaign was proven deterministic and drained in closed form, and
-	// how many iterations the drain covered. Those iterations' IterPS
-	// entries are the analytically derived per-iteration times; the sum
-	// contracts hold exactly as in a fully simulated run.
-	CampaignAt    int `json:"campaign_at,omitempty"`
-	CampaignIters int `json:"campaign_iters,omitempty"`
-
 	// FastPath reports which host-time accelerations engaged and, when
 	// the steady-state machinery was armed but declined, the typed
 	// WhyNot diagnosis. Host-side metadata: excluded from the JSON form,
 	// so store records and job-API payloads are byte-identical with or
 	// without it, and zeroed by the bit-identity comparisons the
-	// steady/campaign/elide tests run (it describes the host's path, not
+	// steady-state tests run (it describes the host's path, not
 	// the simulated physics).
 	FastPath FastPath `json:"-"`
 }
@@ -718,32 +657,11 @@ func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, 
 		m.SetRefCounting(false)
 	}
 
-	// Resident elision: arm the kernel's hot arrays so exact immediate
-	// repeats of all-hit bulk reads over them replay as flat arithmetic.
-	// Proven bit-identical — the replay re-validates residency and
-	// coherence per run — so no engine or observer needs to know.
-	if cfg.ResidentElide {
-		m.SetResidentElide(true)
-		m.ArmResidentPages(k.HotPages())
-	}
-
-	// The steady-state detector observes only; extrapolation additionally
-	// requires Extrapolate. A sampler disables both — it must see every
-	// iteration simulated to sample it.
+	// A sampler disables the steady-state fast-forward — it must see
+	// every iteration simulated to sample it.
 	var det *steadyDetector
 	if cfg.SteadyState && cfg.Metrics == nil {
-		det = newSteadyDetector(m, eng, u, cfg.SteadyWindow, cfg.PeriodK, cfg.KernelMig)
-	}
-	// The campaign observer handles exactly the cells the detector cannot:
-	// an ongoing kernel-migration campaign keeps the page-home hash moving,
-	// so no counter orbit ever closes, but when the compute under it is
-	// proven frozen (campaign.go) the campaign itself can be drained in
-	// closed form. Armed only for extrapolating kernel-engine runs with no
-	// user-level engine and no scheduler perturbation.
-	var camp *campaignObserver
-	if det != nil && cfg.Extrapolate && cfg.KernelMig && cfg.UPM == UPMOff &&
-		!cfg.NoCampaignFF && cfg.PerturbAt == 0 {
-		camp = newCampaignObserver(m, eng, cfg.SteadyWindow)
+		det = newSteadyDetector(m, eng, u, cfg.KernelMig)
 	}
 
 	master := team.Master()
@@ -780,9 +698,6 @@ func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, 
 				Kind: trace.EvIterStart, Arg0: int64(step)})
 		}
 		hooks := stepHooks(u, cfg.UPM, step)
-		if camp != nil && !camp.disabled {
-			camp.armPhase(hooks)
-		}
 		k.Step(team, hooks)
 		// Sample between the step's compute and the engine invocation:
 		// this is the last point where the reference-counter rows hold
@@ -841,122 +756,74 @@ func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, 
 			continue
 		}
 		if !det.observe(res.IterPS[step-1], res.PhasePS[step-1]) {
-			// No orbit closed — the campaign observer gets its look at the
-			// same snapshot. A proven campaign is drained in closed form,
-			// its iterations free-run for the numerics, and detection
-			// restarts fresh in the post-campaign regime.
-			if camp != nil && camp.observe(det.lastDelta(),
-				res.IterPS[step-1], res.PhasePS[step-1], master.Now()) {
-				plan := camp.drain(niter - step)
-				camp.disabled = true
-				if plan.V > 0 {
-					m.PT = plan.clone
-					eng.CommitCampaign(plan.cur, plan.moved, plan.rejected, plan.cost)
-					m.ApplyCounterDelta(camp.machineDelta(), int64(plan.V))
-					m.ApplyCounterDelta(camp.clockDelta(plan.cost), 1)
-					res.CampaignAt = step
-					res.CampaignIters = plan.V
-					var addPS int64
-					for _, v := range plan.iterPS {
-						addPS += v
-					}
-					res.IterPS = append(res.IterPS, plan.iterPS...)
-					res.PhasePS = append(res.PhasePS, plan.phasePS...)
-					if trc != nil {
-						trc.Emit(trace.Event{Time: master.Now(), CPU: master.ID,
-							Kind: trace.EvCampaignFF, Arg0: int64(plan.V), Arg1: addPS})
-					}
-					// Free-run the drained steps so the numerics stay on
-					// the exact trajectory (compute provably never reads
-					// what the campaign moved, but Verify needs the values).
-					var t0 time.Time
-					if hs != nil {
-						t0 = time.Now()
-					}
-					m.SetFreeRun(true)
-					for fs := 0; fs < plan.V; fs++ {
-						k.Step(team, &Hooks{})
-					}
-					m.SetFreeRun(false)
-					if hs != nil {
-						freeHost += time.Since(t0)
-					}
-					step += plan.V
-					det = newSteadyDetector(m, eng, u, cfg.SteadyWindow, cfg.PeriodK, cfg.KernelMig)
-				}
-			}
 			continue
 		}
-		{
-			res.SteadyAt = step
-			if p := det.period(); p > 1 {
-				res.SteadyPeriod = p
-			}
-			if trc != nil {
-				trc.Emit(trace.Event{Time: master.Now(), CPU: master.ID,
-					Kind: trace.EvSteadyState, Arg0: int64(step), Arg1: int64(det.window)})
-			}
-			r := int64(niter - step)
-			if !cfg.Extrapolate || r == 0 {
-				// Detection-only: record the iteration and keep simulating.
-				det = nil
-				continue
-			}
-			var t0 time.Time
-			if hs != nil {
-				t0 = time.Now()
-			}
-			det.fastForward(r)
-			res.ExtrapolatedIters += int(r)
-			period := det.period()
-			var addedIter int64
-			for i := int64(0); i < r; i++ {
-				dIter, dPhase := det.cycleIterPhase(int(i) % period)
-				res.IterPS = append(res.IterPS, dIter)
-				res.PhasePS = append(res.PhasePS, dPhase)
-				addedIter += dIter
-			}
-			if hs != nil {
-				extraHost += time.Since(t0)
-			}
-			if trc != nil {
-				// Stamped with the post-jump clock; Summarize treats it as
-				// the timed loop's final mark.
-				trc.Emit(trace.Event{Time: master.Now(), CPU: master.ID,
-					Kind: trace.EvExtrapolate, Arg0: r, Arg1: addedIter})
-			}
-			// The tail's numerics have exactly one consumer: Verify. When
-			// its answer is already known — the check is skipped, or a run
-			// with the same numeric trajectory verified it (VerifyCache) —
-			// re-executing the remaining steps is pure waste.
-			if cfg.SkipVerify {
-				break
-			}
-			if cfg.TailCache != nil {
-				if v, ok := cfg.TailCache.get(nkey); ok {
-					tailVerdict, haveTail = v, true
-					break
-				}
-			}
-			// Re-execute the remaining steps in free-run mode: clocks are
-			// frozen and accesses charge nothing, but the kernel's data
-			// advances exactly as a simulated run's would, so Verify sees
-			// the true final numerics. Engine calls are skipped (empty
-			// hooks, no MigrateMemory) — on the proven period-one orbit
-			// they only move time and page homes, never kernel values.
-			if hs != nil {
-				t0 = time.Now()
-			}
-			m.SetFreeRun(true)
-			for fs := step + 1; fs <= niter; fs++ {
-				k.Step(team, &Hooks{})
-			}
-			m.SetFreeRun(false)
-			if hs != nil {
-				freeHost += time.Since(t0)
-			}
+		res.SteadyAt = step
+		if p := det.period(); p > 1 {
+			res.SteadyPeriod = p
+		}
+		if trc != nil {
+			trc.Emit(trace.Event{Time: master.Now(), CPU: master.ID,
+				Kind: trace.EvSteadyState, Arg0: int64(step), Arg1: steadyWindow})
+		}
+		r := int64(niter - step)
+		if r == 0 {
 			break
 		}
+		var t0 time.Time
+		if hs != nil {
+			t0 = time.Now()
+		}
+		det.fastForward(r)
+		res.ExtrapolatedIters = int(r)
+		period := det.period()
+		var addedIter int64
+		for i := int64(0); i < r; i++ {
+			dIter, dPhase := det.cycleIterPhase(int(i) % period)
+			res.IterPS = append(res.IterPS, dIter)
+			res.PhasePS = append(res.PhasePS, dPhase)
+			addedIter += dIter
+		}
+		if hs != nil {
+			extraHost += time.Since(t0)
+		}
+		if trc != nil {
+			// Stamped with the post-jump clock; Summarize treats it as
+			// the timed loop's final mark.
+			trc.Emit(trace.Event{Time: master.Now(), CPU: master.ID,
+				Kind: trace.EvExtrapolate, Arg0: r, Arg1: addedIter})
+		}
+		// The tail's numerics have exactly one consumer: Verify. When
+		// its answer is already known — the check is skipped, or a run
+		// with the same numeric trajectory verified it (VerifyCache) —
+		// re-executing the remaining steps is pure waste.
+		if cfg.SkipVerify {
+			break
+		}
+		if cfg.TailCache != nil {
+			if v, ok := cfg.TailCache.get(nkey); ok {
+				tailVerdict, haveTail = v, true
+				break
+			}
+		}
+		// Re-execute the remaining steps in free-run mode: clocks are
+		// frozen and accesses charge nothing, but the kernel's data
+		// advances exactly as a simulated run's would, so Verify sees
+		// the true final numerics. Engine calls are skipped (empty
+		// hooks, no MigrateMemory) — on the proven orbit they only move
+		// time and page homes, never kernel values.
+		if hs != nil {
+			t0 = time.Now()
+		}
+		m.SetFreeRun(true)
+		for fs := step + 1; fs <= niter; fs++ {
+			k.Step(team, &Hooks{})
+		}
+		m.SetFreeRun(false)
+		if hs != nil {
+			freeHost += time.Since(t0)
+		}
+		break
 	}
 	res.TotalPS = master.Now() - start
 	if hs != nil {
@@ -995,11 +862,9 @@ func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, 
 	res.FastPath = FastPath{
 		SteadyDetected: res.SteadyAt > 0,
 		Extrapolated:   res.ExtrapolatedIters > 0,
-		CampaignFF:     res.CampaignIters > 0,
-		ResidentElide:  cfg.ResidentElide,
 		TailCacheHit:   haveTail,
 	}
-	if cfg.SteadyState && res.ExtrapolatedIters == 0 && res.CampaignIters == 0 {
+	if cfg.SteadyState && res.ExtrapolatedIters == 0 {
 		res.FastPath.WhyNot = runWhyNot(cfg, det, res)
 	}
 	return res, nil
@@ -1007,8 +872,9 @@ func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, 
 
 // runWhyNot builds the typed diagnosis for a run whose steady-state
 // machinery was armed but never fast-forwarded anything: the sampler
-// veto, the proven-but-declined cases, or — when detection itself never
-// fired — the detector's own evidence of what broke the orbit.
+// veto, an orbit proven on the final iteration, or — when detection
+// itself never fired — the detector's own evidence of what broke the
+// orbit.
 func runWhyNot(cfg Config, det *steadyDetector, res Result) *WhyNot {
 	switch {
 	case cfg.Metrics != nil:
@@ -1018,13 +884,7 @@ func runWhyNot(cfg Config, det *steadyDetector, res Result) *WhyNot {
 		if p == 0 {
 			p = 1
 		}
-		w := &WhyNot{BestPeriod: p, Observed: res.SteadyAt}
-		if cfg.Extrapolate {
-			w.Reason = WhyNotNoTail
-		} else {
-			w.Reason = WhyNotDetectionOnly
-		}
-		return w
+		return &WhyNot{Reason: WhyNotNoTail, BestPeriod: p, Observed: res.SteadyAt}
 	case det != nil:
 		return det.diagnose(cfg.PerturbAt)
 	}

@@ -42,46 +42,47 @@ import (
 	"upmgo/internal/upm"
 )
 
-// steadyWindowDefault is the number of consecutive identical
-// per-iteration cycles required before the loop is declared steady.
-// Three balances confidence against wasted simulation: the engines'
-// transients (UPMlib deactivation, kernel-engine decay convergence)
-// produce at most pairwise-equal deltas, never three in a row.
-const steadyWindowDefault = 3
+// steadyWindow is the number of consecutive identical per-iteration
+// cycles required before the loop is declared steady. Three balances
+// confidence against wasted simulation: the engines' transients (UPMlib
+// deactivation, kernel-engine decay convergence) produce at most
+// pairwise-equal deltas, never three in a row.
+const steadyWindow = 3
 
-// steadyPeriodMax caps the orbit length the detector considers. Campaign
-// cells cycle through a small set of scan states (kmig's ScanEvery and
-// decay cadence), so short periods cover every real cell; a larger cap
-// only delays the adversarial fallback (a period-9 string must run
-// fully simulated — steady_test.go pins it).
+// steadyPeriodMax caps the orbit length the detector considers. The
+// periodic cells that exist cycle through a few kernel-engine scan
+// states (kmig's ScanEvery gate and decay cadence — Class A's CG kmig
+// cells settle at period 2), so short periods cover every real cell; a
+// larger cap only delays the adversarial fallback (a period-9 stream
+// must run fully simulated — steady_test.go pins it).
 const steadyPeriodMax = 8
+
+// periodRing is the tracker's ring and candidate-table size: one period
+// past the firing cap, for diagnosis only. A period-9 adversary then
+// shows up as a candidate that *did* prove itself beyond the cap. The
+// firing loop never consults k > steadyPeriodMax, and a ring larger than
+// the cap holds every lag ≤ steadyPeriodMax entry at the same slot age,
+// so detection behaviour — and Result.SteadyAt — is bit-identical to the
+// exact-size ring.
+const periodRing = steadyPeriodMax + 1
 
 // periodTracker is the pure cycle-detection core: a stream of
 // (delta-vector, state-hash) observations in, the minimal proven period
-// out. Split from steadyDetector so synthetic streams — period-2..8
+// out, at the constant window and period cap. Its zero value is ready to
+// use. Split from steadyDetector so synthetic streams — period-2..8
 // cycles, the period-9 adversary, aperiodic noise — can be unit-tested
 // without building a machine.
 type periodTracker struct {
-	kmax, window int
-	// diagKmax extends the ring and match bookkeeping one period past
-	// the larger of kmax and the global cap, for diagnosis only: a
-	// period-9 adversary (or a period-2 orbit under PeriodK 1) then
-	// shows up as a candidate that *did* prove itself beyond the cap.
-	// The firing loop never consults k > kmax, and a ring larger than
-	// kmax holds every lag ≤ kmax entry at the same slot age, so
-	// detection behaviour — and Result.SteadyAt — is bit-identical to
-	// the exact-size ring.
-	diagKmax int
-	ring     [][]int64 // last diagKmax delta vectors, slot = index % diagKmax
-	hashes   []uint64  // state hash observed with each ring entry
-	n        int       // observations pushed so far
-	matches  []int     // matches[k-1]: consecutive successful lag-k compares
-	period   int       // proven period, set when push returns true
+	ring    [periodRing][]int64 // last periodRing delta vectors, slot = index % periodRing
+	hashes  [periodRing]uint64  // state hash observed with each ring entry
+	n       int                 // observations pushed so far
+	matches [periodRing]int     // matches[k-1]: consecutive successful lag-k compares
+	period  int                 // proven period, set when push returns true
 
 	// Diagnostic state (never read by the firing rule).
-	maxMatches []int      // longest streak ever seen per candidate k
-	lastFail   []failInfo // why the most recent lag-k compare failed
-	homeMoves  int        // pushes whose state hash differed from the previous
+	maxMatches [periodRing]int      // longest streak ever seen per candidate k
+	lastFail   [periodRing]failInfo // why the most recent lag-k compare failed
+	homeMoves  int                  // pushes whose state hash differed from the previous
 	lastHash   uint64
 }
 
@@ -92,46 +93,23 @@ type failInfo struct {
 	idx  int
 }
 
-func newPeriodTracker(kmax, window int) *periodTracker {
-	if kmax < 1 {
-		kmax = 1
-	}
-	if window < 2 {
-		window = 2
-	}
-	diag := steadyPeriodMax
-	if kmax > diag {
-		diag = kmax
-	}
-	diag++
-	return &periodTracker{
-		kmax:       kmax,
-		window:     window,
-		diagKmax:   diag,
-		ring:       make([][]int64, diag),
-		hashes:     make([]uint64, diag),
-		matches:    make([]int, diag),
-		maxMatches: make([]int, diag),
-		lastFail:   make([]failInfo, diag),
-	}
-}
-
 // push records one observation and reports whether a period has just been
 // proven. The firing rule for period k is matches[k] ≥ (window−1)·k:
 // the last window−1 whole cycles each reproduced the cycle before them.
 // Candidates are tested in ascending k, so the proven period is minimal —
 // and for k=1 the rule degenerates to window−1 consecutive identical
 // deltas, exactly the original period-one detector's streak ≥ window.
+// Here window is steadyWindow and k ranges up to steadyPeriodMax.
 func (t *periodTracker) push(delta []int64, hash uint64) bool {
 	j := t.n + 1
 	if j > 1 && hash != t.lastHash {
 		t.homeMoves++
 	}
 	t.lastHash = hash
-	// Compare out to diagKmax so candidates beyond the cap accumulate
-	// diagnostic streaks; only k ≤ kmax may fire below.
-	for k := 1; k <= t.diagKmax && k < j; k++ {
-		s := (j - k) % t.diagKmax
+	// Compare out to periodRing so candidates beyond the cap accumulate
+	// diagnostic streaks; only k ≤ steadyPeriodMax may fire below.
+	for k := 1; k <= periodRing && k < j; k++ {
+		s := (j - k) % periodRing
 		switch {
 		case hash != t.hashes[s]:
 			t.lastFail[k-1] = failInfo{hash: true, idx: -1}
@@ -146,12 +124,12 @@ func (t *periodTracker) push(delta []int64, hash uint64) bool {
 			}
 		}
 	}
-	s := j % t.diagKmax
+	s := j % periodRing
 	t.ring[s] = append(t.ring[s][:0], delta...)
 	t.hashes[s] = hash
 	t.n = j
-	for k := 1; k <= t.kmax && k < j; k++ {
-		if t.matches[k-1] >= (t.window-1)*k {
+	for k := 1; k <= steadyPeriodMax && k < j; k++ {
+		if t.matches[k-1] >= (steadyWindow-1)*k {
 			t.period = k
 			return true
 		}
@@ -176,17 +154,16 @@ type trackerDiag struct {
 // diagnose picks the best candidate orbit. A candidate beyond the
 // firing cap that reproduced at least two full cycles (streak ≥ 2k)
 // wins outright — the loop is periodic, just longer than the detector
-// may prove, which is the adversarial-fallback evidence the firing rule
-// itself might never accumulate under a large window. Otherwise the
+// may prove: the adversarial fallback. Otherwise the
 // candidate with the highest streak-to-requirement ratio is reported
 // together with its most recent failure.
 func (t *periodTracker) diagnose() trackerDiag {
 	d := trackerDiag{observed: t.n, homeMoves: t.homeMoves, fail: failInfo{idx: -1}}
 	best := -1.0
-	for k := 1; k <= t.diagKmax; k++ {
-		need := (t.window - 1) * k
+	for k := 1; k <= periodRing; k++ {
+		need := (steadyWindow - 1) * k
 		streak := t.maxMatches[k-1]
-		if k > t.kmax && streak >= 2*k {
+		if k > steadyPeriodMax && streak >= 2*k {
 			return trackerDiag{observed: t.n, homeMoves: t.homeMoves,
 				bestPeriod: k, bestStreak: streak, needed: need,
 				beyondCap: true, fail: failInfo{idx: -1}}
@@ -219,16 +196,15 @@ func firstDiff(a, b []int64) int {
 // after detection will reproduce. Valid only after push returned true.
 func (t *periodTracker) cycleDelta(p int) []int64 {
 	k := t.period
-	return t.ring[(t.n-k+1+p)%t.diagKmax]
+	return t.ring[(t.n-k+1+p)%periodRing]
 }
 
 // steadyDetector accumulates one counter snapshot per timed iteration and
 // reports when the trailing deltas prove a period-k orbit.
 type steadyDetector struct {
-	m      *machine.Machine
-	eng    *kmig.Engine
-	u      *upm.UPM // nil when the config runs without UPMlib
-	window int
+	m   *machine.Machine
+	eng *kmig.Engine
+	u   *upm.UPM // nil when the config runs without UPMlib
 	// withRows extends the page-table hash over the reference-counter
 	// rows. Required exactly when the kernel engine is enabled: its scans
 	// read the rows, so row state influences future decisions. Without it
@@ -240,29 +216,21 @@ type steadyDetector struct {
 	// per-iteration values participate in the delta comparison.
 	cumIter, cumPhase int64
 
-	trk              *periodTracker
+	trk              periodTracker
 	prev, cur, delta []int64
 	havePrev         bool
 	observed         int // timed iterations observed (snapshots taken)
 }
 
-// newSteadyDetector builds a detector with the given confirmation window
-// (0 = default 3) and period cap kmax (0 = default 8; 1 restricts to the
-// original period-one detection).
-func newSteadyDetector(m *machine.Machine, eng *kmig.Engine, u *upm.UPM, window, kmax int, withRows bool) *steadyDetector {
-	if window <= 0 {
-		window = steadyWindowDefault
-	}
-	if kmax <= 0 || kmax > steadyPeriodMax {
-		kmax = steadyPeriodMax
-	}
+// newSteadyDetector builds a detector over the machine, the kernel engine
+// and, when non-nil, UPMlib.
+func newSteadyDetector(m *machine.Machine, eng *kmig.Engine, u *upm.UPM, withRows bool) *steadyDetector {
 	n := m.CounterLen() + eng.CounterLen() + 2
 	if u != nil {
 		n += u.CounterLen()
 	}
 	return &steadyDetector{
-		m: m, eng: eng, u: u, window: window, withRows: withRows,
-		trk:   newPeriodTracker(kmax, window),
+		m: m, eng: eng, u: u, withRows: withRows,
 		prev:  make([]int64, 0, n),
 		cur:   make([]int64, 0, n),
 		delta: make([]int64, 0, n),
@@ -315,16 +283,6 @@ func (d *steadyDetector) observe(iterPS, phasePS int64) bool {
 // period returns the proven orbit length. Valid only after observe has
 // returned true.
 func (d *steadyDetector) period() int { return d.trk.period }
-
-// lastDelta returns the most recent per-iteration delta vector (nil until
-// two observations exist). The campaign observer reads it: detector and
-// observer share one snapshot per iteration.
-func (d *steadyDetector) lastDelta() []int64 {
-	if d.trk.n == 0 {
-		return nil
-	}
-	return d.trk.ring[d.trk.n%d.trk.diagKmax]
-}
 
 // cycleIterPhase returns the proven per-iteration and per-phase durations
 // at cycle position p — the values extrapolated iterations at that
@@ -406,12 +364,12 @@ func (d *steadyDetector) diagnose(perturbAt int) *WhyNot {
 	switch {
 	case g.beyondCap:
 		// The orbit proved itself at a period the cap excludes: the
-		// adversarial fallback, or an explicit PeriodK restriction.
+		// adversarial fallback.
 		w.Reason = WhyNotPeriodBeyondCap
 	case perturbAt > 0:
 		w.Reason = WhyNotPerturbed
 		w.PerturbIter = perturbAt
-	case d.observed < d.window+1:
+	case d.observed < steadyWindow+1:
 		// Even a perfectly period-one loop needs window+1 observations
 		// (window deltas) before the streak can reach window−1.
 		w.Reason = WhyNotLoopTooShort

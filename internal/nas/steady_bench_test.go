@@ -28,7 +28,7 @@ func BenchmarkSteadyStateDetect(b *testing.B) {
 			}
 			m.NewArray("ballast", 4<<20) // ~2k pages of hashed footprint
 			eng := kmig.Attach(m, kmig.DefaultConfig())
-			det := newSteadyDetector(m, eng, nil, 0, 0, c.withRows)
+			det := newSteadyDetector(m, eng, nil, c.withRows)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				det.observe(1, 1)

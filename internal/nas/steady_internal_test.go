@@ -1,17 +1,10 @@
 package nas
 
-// White-box tests of the period-k cycle detector and the campaign
-// observer's analytic-path gate, on synthetic observation streams — no
-// kernel, no timed loop. The system-level bit-identity contracts live in
-// steady_test.go and campaign_test.go.
+// White-box tests of the period-k cycle detector on synthetic
+// observation streams — no kernel, no timed loop. The system-level
+// bit-identity contracts live in steady_test.go.
 
-import (
-	"math/rand"
-	"testing"
-
-	"upmgo/internal/kmig"
-	"upmgo/internal/machine"
-)
+import "testing"
 
 // TestPeriodTrackerDetectsSmallPeriods: a strict period-k stream of
 // distinct deltas is detected with the minimal period k for every k up to
@@ -19,7 +12,7 @@ import (
 // next iterations will reproduce.
 func TestPeriodTrackerDetectsSmallPeriods(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 5, 8} {
-		trk := newPeriodTracker(8, 3)
+		var trk periodTracker
 		fireAt := -1 // 1-based observation index of the firing push
 		for i := 0; i < 100 && fireAt < 0; i++ {
 			if trk.push([]int64{int64(i % k)}, 7) {
@@ -51,19 +44,17 @@ func TestPeriodTrackerDetectsSmallPeriods(t *testing.T) {
 // degenerates to the original period-one detector — window consecutive
 // identical deltas, firing exactly on the window-th.
 func TestPeriodTrackerPeriodOneEquivalence(t *testing.T) {
-	for _, window := range []int{2, 3, 5} {
-		trk := newPeriodTracker(1, window)
-		for i := 0; i < window-1; i++ {
-			if trk.push([]int64{42}, 9) {
-				t.Fatalf("window %d fired early at push %d", window, i+1)
-			}
+	var trk periodTracker
+	for i := 0; i < steadyWindow-1; i++ {
+		if trk.push([]int64{42}, 9) {
+			t.Fatalf("fired early at push %d", i+1)
 		}
-		if !trk.push([]int64{42}, 9) {
-			t.Fatalf("window %d did not fire on the window-th identical delta", window)
-		}
-		if trk.period != 1 {
-			t.Errorf("window %d proved period %d, want 1", window, trk.period)
-		}
+	}
+	if !trk.push([]int64{42}, 9) {
+		t.Fatalf("did not fire on the %d-th identical delta", steadyWindow)
+	}
+	if trk.period != 1 {
+		t.Errorf("proved period %d, want 1", trk.period)
 	}
 }
 
@@ -72,134 +63,22 @@ func TestPeriodTrackerPeriodOneEquivalence(t *testing.T) {
 // repeating delta whose state hash cycles with period 9 (hash equality is
 // by value, so no k ≤ 8 ever lines the hashes up).
 func TestPeriodTrackerAdversaries(t *testing.T) {
-	trk := newPeriodTracker(8, 3)
+	var trk periodTracker
 	for i := 0; i < 200; i++ {
 		if trk.push([]int64{int64(i % 9)}, 7) {
 			t.Fatalf("fired on a period-9 stream at push %d (period %d)", i+1, trk.period)
 		}
 	}
-	trk = newPeriodTracker(8, 3)
+	trk = periodTracker{}
 	for i := 0; i < 200; i++ {
 		if trk.push([]int64{int64(i)}, 7) {
 			t.Fatalf("fired on aperiodic growth at push %d", i+1)
 		}
 	}
-	trk = newPeriodTracker(8, 3)
+	trk = periodTracker{}
 	for i := 0; i < 200; i++ {
 		if trk.push([]int64{42}, uint64(i%9)) {
 			t.Fatalf("fired across a period-9 hash cycle at push %d", i+1)
-		}
-	}
-}
-
-// campaignRig drives a campaignObserver with a synthetic iteration stream:
-// per iteration one barrier, one scan moving moves[i] pages at the
-// engine's real per-page cost, uniform compute time around it. Everything
-// but the per-scan moved series is structurally identical, so the
-// observer's verdict isolates exactly the monotone-decay gate.
-func campaignRig(t *testing.T, moves []int) []bool {
-	t.Helper()
-	mc := machine.DefaultConfig()
-	mc.Nodes, mc.CPUsPerNode = 2, 1
-	mc.ArenaPages = 64
-	m, err := machine.New(mc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := kmig.Attach(m, kmig.Config{})
-	camp := newCampaignObserver(m, eng, 3)
-
-	stride := m.CountersPerCPU()
-	M := m.NumCPUs() * stride
-	E := M + 4
-	perPage := m.MigrationCost()
-
-	now := int64(0)
-	camp.observe(nil, 0, 0, now) // prime: first call only records the end time
-	verdicts := make([]bool, 0, len(moves))
-	for _, mv := range moves {
-		cost := int64(mv) * perPage
-		barT := now + 500
-		camp.barT = append(camp.barT[:0], barT)
-		camp.barCost = append(camp.barCost[:0], cost)
-		camp.scanSeq = append(camp.scanSeq[:0], mv)
-		end := barT + cost + 500
-		dIter := end - now
-		delta := make([]int64, m.CounterLen()+eng.CounterLen()+2)
-		delta[0] = dIter // CPU 0 is the only loop member
-		delta[M+1] = int64(mv)
-		delta[E] = 1 // barriers
-		delta[E+1] = 1
-		delta[E+2] = int64(mv)
-		delta[E+4] = cost
-		delta[E+eng.CounterLen()] = dIter // cumIter
-		verdicts = append(verdicts, camp.observe(delta, dIter, 0, end))
-		now = end
-	}
-	return verdicts
-}
-
-// TestCampaignMonotoneGate: the analytic path arms only for a
-// non-increasing per-scan move series with ongoing activity. A throttled
-// plateau proposes at the window; any increase in the series — the
-// signature of a campaign still being fed — resets the streak and must
-// never propose.
-func TestCampaignMonotoneGate(t *testing.T) {
-	verdicts := campaignRig(t, []int{16, 16, 16, 16, 12, 8})
-	for i, v := range verdicts {
-		if want := i >= 2; v != want {
-			t.Errorf("plateau campaign: iteration %d proposed=%v, want %v", i, v, want)
-		}
-	}
-	for _, adversary := range [][]int{
-		{8, 10, 8, 10, 8, 10, 8, 10},
-		{16, 16, 12, 16, 16, 16, 16},
-		{4, 3, 2, 1, 2, 3, 4, 5, 6},
-	} {
-		for i, v := range campaignRig(t, adversary) {
-			if v && adversary[i] > adversary[i-1] {
-				t.Errorf("non-monotone series %v proposed at iteration %d", adversary, i)
-			}
-			if v {
-				// Any proposal needs a fully non-increasing trailing window.
-				for j := i - 2; j < i; j++ {
-					if adversary[j] < adversary[j+1] {
-						t.Errorf("series %v proposed at %d across an increase at %d", adversary, i, j)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestCampaignGateProperty: for random move series, every proposal implies
-// (a) the streak spans at least the window, (b) the trailing window of
-// moves is non-increasing, and (c) the proposing iteration still moved
-// pages — the formal statement of the issue's decay-determinism
-// precondition.
-func TestCampaignGateProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		n := 6 + rng.Intn(10)
-		moves := make([]int, n)
-		for i := range moves {
-			moves[i] = rng.Intn(4)
-		}
-		for i, v := range campaignRig(t, moves) {
-			if !v {
-				continue
-			}
-			if i < 2 {
-				t.Errorf("trial %d %v: proposed at iteration %d, before the window", trial, moves, i)
-			}
-			if moves[i] == 0 {
-				t.Errorf("trial %d %v: proposed a quiet iteration %d", trial, moves, i)
-			}
-			for j := max(0, i-2); j < i; j++ {
-				if moves[j] < moves[j+1] {
-					t.Errorf("trial %d %v: proposed at %d despite increase at %d", trial, moves, i, j)
-				}
-			}
 		}
 	}
 }

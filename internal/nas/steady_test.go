@@ -1,9 +1,12 @@
 package nas_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"upmgo/internal/kmig"
+	"upmgo/internal/machine"
 	"upmgo/internal/metrics"
 	"upmgo/internal/nas"
 	"upmgo/internal/nas/bt"
@@ -11,6 +14,7 @@ import (
 	"upmgo/internal/nas/ft"
 	"upmgo/internal/nas/mg"
 	"upmgo/internal/nas/sp"
+	"upmgo/internal/omp"
 	"upmgo/internal/trace"
 	"upmgo/internal/vm"
 )
@@ -23,8 +27,6 @@ func maskSteady(r nas.Result) nas.Result {
 	r.SteadyAt = 0
 	r.SteadyPeriod = 0
 	r.ExtrapolatedIters = 0
-	r.CampaignAt = 0
-	r.CampaignIters = 0
 	r.FastPath = nas.FastPath{}
 	return r
 }
@@ -69,7 +71,7 @@ func TestSteadyExtrapolationBitIdentity(t *testing.T) {
 						t.Fatalf("%s plain: %v", eng.name, err)
 					}
 					scfg := cfg
-					scfg.SteadyState, scfg.Extrapolate = true, true
+					scfg.SteadyState = true
 					steady, err := nas.Run(b.build, scfg)
 					if err != nil {
 						t.Fatalf("%s steady: %v", eng.name, err)
@@ -102,32 +104,6 @@ func TestSteadyExtrapolationBitIdentity(t *testing.T) {
 	}
 }
 
-// TestSteadyDetectionOnly: with Extrapolate off the detector observes and
-// records but the run still simulates every iteration — bit-identical to
-// a plain run in everything but SteadyAt.
-func TestSteadyDetectionOnly(t *testing.T) {
-	cfg := nas.Config{Class: nas.ClassS, Placement: vm.FirstTouch, Threads: 1, Iterations: 10}
-	plain, err := nas.Run(sp.New, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dcfg := cfg
-	dcfg.SteadyState = true
-	det, err := nas.Run(sp.New, dcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if det.SteadyAt == 0 {
-		t.Fatal("detection-only run never detected the steady state")
-	}
-	if det.ExtrapolatedIters != 0 {
-		t.Fatalf("detection-only run extrapolated %d iterations", det.ExtrapolatedIters)
-	}
-	if !reflect.DeepEqual(plain, maskSteady(det)) {
-		t.Errorf("detection-only run diverges from plain:\n plain %+v\n det   %+v", plain, det)
-	}
-}
-
 // TestSteadyRespectsPerturbation: the detector must not extrapolate
 // across the scheduler perturbation — observation starts after it, so a
 // detected steady state always lies beyond PerturbAt and the perturbed
@@ -140,7 +116,7 @@ func TestSteadyRespectsPerturbation(t *testing.T) {
 		t.Fatal(err)
 	}
 	scfg := cfg
-	scfg.SteadyState, scfg.Extrapolate = true, true
+	scfg.SteadyState = true
 	steady, err := nas.Run(bt.New, scfg)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +138,7 @@ func TestSteadyRespectsPerturbation(t *testing.T) {
 func TestSteadyDisabledBySampler(t *testing.T) {
 	s := metrics.NewSampler(metrics.Options{})
 	cfg := nas.Config{Class: nas.ClassS, Placement: vm.FirstTouch, Threads: 1,
-		Iterations: 10, Metrics: s, SteadyState: true, Extrapolate: true}
+		Iterations: 10, Metrics: s, SteadyState: true}
 	res, err := nas.Run(sp.New, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +156,7 @@ func TestSteadyDisabledBySampler(t *testing.T) {
 func TestSteadyTraceSummary(t *testing.T) {
 	rec := trace.NewRecorder()
 	cfg := nas.Config{Class: nas.ClassS, Placement: vm.FirstTouch, Threads: 1,
-		Iterations: 12, Tracer: rec, SteadyState: true, Extrapolate: true}
+		Iterations: 12, Tracer: rec, SteadyState: true}
 	res, err := nas.Run(bt.New, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +219,7 @@ func TestSteadyForkBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := base
-	cfg.SteadyState, cfg.Extrapolate = true, true
+	cfg.SteadyState = true
 	cfg.KernelMig = true
 	scratch, err := nas.Run(cg.New, cfg)
 	if err != nil {
@@ -266,7 +242,7 @@ func TestSteadyForkBitIdentity(t *testing.T) {
 func TestSteadyTailCache(t *testing.T) {
 	vc := nas.NewVerifyCache()
 	base := nas.Config{Class: nas.ClassS, Placement: vm.FirstTouch, Threads: 1,
-		Iterations: 12, SteadyState: true, Extrapolate: true, TailCache: vc}
+		Iterations: 12, SteadyState: true, TailCache: vc}
 	engines := []func(c *nas.Config){
 		func(c *nas.Config) {},
 		func(c *nas.Config) { c.KernelMig = true },
@@ -280,7 +256,7 @@ func TestSteadyTailCache(t *testing.T) {
 			t.Fatalf("engine %d: %v", i, err)
 		}
 		plain := cfg
-		plain.SteadyState, plain.Extrapolate, plain.TailCache = false, false, nil
+		plain.SteadyState, plain.TailCache = false, nil
 		want, err := nas.Run(sp.New, plain)
 		if err != nil {
 			t.Fatalf("engine %d plain: %v", i, err)
@@ -317,7 +293,7 @@ func TestSteadySkipVerifyTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	scfg := cfg
-	scfg.SteadyState, scfg.Extrapolate = true, true
+	scfg.SteadyState = true
 	steady, err := nas.Run(bt.New, scfg)
 	if err != nil {
 		t.Fatal(err)
@@ -330,31 +306,18 @@ func TestSteadySkipVerifyTail(t *testing.T) {
 	}
 }
 
-// TestSteadyFingerprintCanonicalisation: the steady knobs canonicalise —
-// window 0 is the default, and with SteadyState off the other fields are
-// dead — so equivalent configs share one cache entry while a steady and
-// a plain run (whose SteadyAt fields differ) never collide.
+// TestSteadyFingerprintCanonicalisation: a steady and a plain run
+// (whose SteadyAt fields differ) never share a cache entry, while
+// attaching a tail cache — bit-identical by construction — never
+// partitions the key space.
 func TestSteadyFingerprintCanonicalisation(t *testing.T) {
 	base := nas.Config{Class: nas.ClassS, Placement: vm.FirstTouch}
-	a := base
-	a.SteadyState, a.SteadyWindow = true, 0
-	b := base
-	b.SteadyState, b.SteadyWindow = true, 3
-	fa, ok := a.Fingerprint()
+	fplain, ok := base.Fingerprint()
 	if !ok {
 		t.Fatal("fingerprint failed")
 	}
-	fb, _ := b.Fingerprint()
-	if fa != fb {
-		t.Errorf("window 0 and default window fingerprints differ:\n %q\n %q", fa, fb)
-	}
-	c := base
-	c.Extrapolate, c.SteadyWindow = true, 5 // dead without SteadyState
-	fc, _ := c.Fingerprint()
-	fplain, _ := base.Fingerprint()
-	if fc != fplain {
-		t.Errorf("dead steady fields changed the fingerprint:\n %q\n %q", fc, fplain)
-	}
+	a := base
+	a.SteadyState = true
 	fsteady, _ := a.Fingerprint()
 	if fsteady == fplain {
 		t.Error("steady and plain configs share a fingerprint; SteadyAt would go stale in the cache")
@@ -364,5 +327,185 @@ func TestSteadyFingerprintCanonicalisation(t *testing.T) {
 	fd, _ := d.Fingerprint()
 	if fd != fplain {
 		t.Errorf("attaching a tail cache changed the fingerprint:\n %q\n %q", fd, fplain)
+	}
+}
+
+// synthKernel satisfies nas.Kernel: a purpose-built kernel for the
+// regimes the NAS kernels cannot reach at test scale. Each Step reads the
+// hot array (512 bytes, L1-resident after the cold start) and charges a
+// compute-time modulation of period workPeriod whose iterations all
+// differ, so the reference string is a genuine period-workPeriod orbit.
+// At the first timed step it seeds the dead pages' reference-counter
+// rows from node 1, staging a kernel-migration campaign the engine then
+// works through at MaxPerScan pages per scan.
+type synthKernel struct {
+	m          *machine.Machine
+	hot, dead  *machine.Array
+	workPeriod int
+	steps      int
+	timed      bool // set by Reinit: the prefix's cold start is over
+	seeded     bool
+}
+
+// synthBuilder returns a nas.Builder for a synthetic kernel with the given
+// number of dead campaign pages and compute-modulation period (0 = uniform
+// compute).
+func synthBuilder(deadPages, workPeriod int) nas.Builder {
+	return func(m *machine.Machine, class nas.Class, scale int, seed uint64) nas.Kernel {
+		k := &synthKernel{m: m, workPeriod: workPeriod}
+		k.hot = m.NewArray("hot", 64)
+		if deadPages > 0 {
+			k.dead = m.NewArray("dead", deadPages*m.PageBytes()/8)
+		}
+		return k
+	}
+}
+
+func (k *synthKernel) Name() string           { return "SYNTH" }
+func (k *synthKernel) DefaultIterations() int { return 8 }
+func (k *synthKernel) HasPhase() bool         { return false }
+
+func (k *synthKernel) HotPages() [][2]uint64 {
+	lo, hi := k.hot.PageRange()
+	return [][2]uint64{{lo, hi}}
+}
+
+func (k *synthKernel) InitTouch(t *omp.Team) {
+	t.ParallelNamed("init", func(tr *omp.Thread) {
+		tr.For(0, 1, omp.Static(), func(c *machine.CPU, from, to int) {
+			for i := range k.hot.MutRun(c, 0, k.hot.Len()) {
+				_ = i
+			}
+			if k.dead != nil {
+				// Home the dead pages on the toucher's node; they are never
+				// accessed again, so their rows change only by seeding.
+				for base := 0; base < k.dead.Len(); base += k.m.PageBytes() / 8 {
+					k.dead.MutRun(c, base, 1)
+				}
+			}
+		})
+	})
+}
+
+func (k *synthKernel) Reinit() { k.steps = 0; k.timed = true }
+
+func (k *synthKernel) Step(t *omp.Team, h *nas.Hooks) {
+	k.steps++
+	if k.timed && !k.seeded && k.dead != nil {
+		// Stage the campaign: every dead page looks heavily referenced from
+		// node 1. Host-side seeding, not simulated accesses.
+		lo, hi := k.dead.PageRange()
+		for vpn := lo; vpn < hi; vpn++ {
+			k.m.PT.CountMissN(vpn, 1, 255)
+		}
+		k.seeded = true
+	}
+	extra := 0
+	if k.workPeriod > 1 {
+		extra = 5000 * (k.steps % k.workPeriod)
+	}
+	t.ParallelNamed("work", func(tr *omp.Thread) {
+		tr.For(0, 1, omp.Static(), func(c *machine.CPU, from, to int) {
+			for pass := 0; pass < 4; pass++ {
+				k.hot.GetRun(c, 0, k.hot.Len())
+			}
+			c.Flops(100 + extra)
+		})
+	})
+}
+
+func (k *synthKernel) Verify() error {
+	if k.steps == 0 {
+		return fmt.Errorf("synth: no steps executed")
+	}
+	return nil
+}
+
+// runPair runs the same cell fully simulated and with the steady-state
+// machinery on, and requires the results to be bit-identical outside the
+// detection metadata.
+func runPair(t *testing.T, build nas.Builder, cfg nas.Config) (plain, steady nas.Result) {
+	t.Helper()
+	plain, err := nas.Run(build, cfg)
+	if err != nil {
+		t.Fatalf("plain: %v", err)
+	}
+	scfg := cfg
+	scfg.SteadyState = true
+	steady, err = nas.Run(build, scfg)
+	if err != nil {
+		t.Fatalf("steady: %v", err)
+	}
+	if !reflect.DeepEqual(plain, maskSteady(steady)) {
+		t.Errorf("steady run diverges from simulated:\n plain  %+v\n steady %+v", plain, steady)
+	}
+	return plain, steady
+}
+
+// TestSteadyPeriodKCompute: a kernel whose compute time cycles with period
+// 3 settles on a genuine period-3 orbit: the detector proves it, reports
+// it, and extrapolates bit-identically.
+func TestSteadyPeriodKCompute(t *testing.T) {
+	cfg := nas.Config{Class: nas.ClassS, Placement: vm.FirstTouch, Threads: 1, Iterations: 24}
+	_, steady := runPair(t, synthBuilder(0, 3), cfg)
+	if steady.SteadyAt == 0 {
+		t.Fatalf("period-3 orbit never detected: %+v", steady)
+	}
+	if steady.SteadyPeriod != 3 {
+		t.Errorf("detected period %d, want 3", steady.SteadyPeriod)
+	}
+}
+
+// TestSteadyPeriod9Adversary: a period-9 reference string whose nine
+// iterations all differ exceeds the detector's cap (8): no orbit is ever
+// proven and the run falls back to full simulation, bit-identically.
+func TestSteadyPeriod9Adversary(t *testing.T) {
+	cfg := nas.Config{Class: nas.ClassS, Placement: vm.FirstTouch, Threads: 1, Iterations: 30}
+	_, steady := runPair(t, synthBuilder(0, 9), cfg)
+	if steady.SteadyAt != 0 {
+		t.Errorf("period-9 stream fired the detector at iteration %d (period %d)",
+			steady.SteadyAt, steady.SteadyPeriod)
+	}
+	if steady.ExtrapolatedIters != 0 {
+		t.Errorf("period-9 stream extrapolated %d iterations", steady.ExtrapolatedIters)
+	}
+}
+
+// TestSteadyPeriod9EngineAdversary: the engine-side period-9 string. With
+// three barriers per iteration and ScanEvery=27, scans land every ninth
+// iteration; between scans the counter deltas are identical, so without
+// the gate-phase hash the period-one rule would fire mid-cycle and
+// extrapolate the engine's counters wrongly. The phase folded into the
+// state hash makes every iteration of the 9-cycle distinct: the detector
+// refuses at every k ≤ 8 and the run falls back to full simulation.
+func TestSteadyPeriod9EngineAdversary(t *testing.T) {
+	cfg := nas.Config{
+		Class: nas.ClassS, Placement: vm.FirstTouch, Threads: 1,
+		Iterations: 30, KernelMig: true,
+		Kmig: kmig.Config{ScanEvery: 27, DecayEvery: -1, MinScanPS: -1},
+	}
+	_, steady := runPair(t, synthBuilder(0, 0), cfg)
+	if steady.SteadyAt != 0 {
+		t.Errorf("engine period-9 cadence fired the detector at iteration %d (period %d)",
+			steady.SteadyAt, steady.SteadyPeriod)
+	}
+}
+
+// TestSteadyPeriodKEngineCadence: kmig's ScanEvery gate makes the engine
+// itself the source of the orbit — with one barrier per iteration and
+// ScanEvery=2, scan activity alternates and the quiesced cell settles on
+// a genuine period-2 orbit.
+func TestSteadyPeriodKEngineCadence(t *testing.T) {
+	cfg := nas.Config{
+		Class: nas.ClassS, Placement: vm.FirstTouch, Threads: 1,
+		Iterations: 24, KernelMig: true,
+		Kmig: kmig.Config{ScanEvery: 2, DecayEvery: -1, MinScanPS: -1},
+	}
+	_, steady := runPair(t, synthBuilder(0, 0), cfg)
+	if steady.SteadyAt == 0 {
+		t.Fatalf("engine-cadence orbit never detected: %+v", steady)
+	}
+	if steady.SteadyPeriod != 2 {
+		t.Errorf("detected period %d, want 2 (ScanEvery=2, one barrier per iteration)", steady.SteadyPeriod)
 	}
 }

@@ -11,9 +11,10 @@ import (
 )
 
 // TestFingerprintGolden pins the fingerprint encoding byte-for-byte
-// against strings captured before the topology refactor. If any of these
-// change, every cache entry and store record ever written is orphaned —
-// see fingerprintView's contract.
+// against strings captured before the topology refactor (the steady
+// cases: before detection and extrapolation merged into one switch). If
+// any of these change, every cache entry and store record ever written is
+// orphaned — see fingerprintView's contract.
 func TestFingerprintGolden(t *testing.T) {
 	cases := []struct {
 		cfg            nas.Config
@@ -38,10 +39,22 @@ func TestFingerprintGolden(t *testing.T) {
 			"wc-IRIXmig",
 		},
 		{
-			nas.Config{Class: nas.ClassA, Placement: vm.Random, SteadyState: true, Extrapolate: true, SteadyWindow: 5},
-			`{Class:A Placement:rand KernelMig:false UPM:off UPMOptions:{Threshold:0 MinAccesses:0 MaxCritical:0 FreezeBounces:0 ScanCostPerPage:0} Kmig:{Threshold:0 MaxPerScan:0 ScanEvery:0 DecayEvery:0 MinScanPS:0} Threads:0 Iterations:0 ComputeScale:1 PerturbAt:0 Seed:0 Tweak:<nil> Tracer:<nil> Metrics:<nil> SkipVerify:false SteadyState:true Extrapolate:true SteadyWindow:5 TailCache:<nil>}`,
+			// SteadyState alone is the steady spelling: it renders exactly
+			// the key the extrapolating detector at the default window 3
+			// was always stored under (-steady). Once it spelled
+			// detection-only, whose key (Extrapolate:false) is retired.
+			nas.Config{Class: nas.ClassA, Placement: vm.Random, SteadyState: true},
+			`{Class:A Placement:rand KernelMig:false UPM:off UPMOptions:{Threshold:0 MinAccesses:0 MaxCritical:0 FreezeBounces:0 ScanCostPerPage:0} Kmig:{Threshold:0 MaxPerScan:0 ScanEvery:0 DecayEvery:0 MinScanPS:0} Threads:0 Iterations:0 ComputeScale:1 PerturbAt:0 Seed:0 Tweak:<nil> Tracer:<nil> Metrics:<nil> SkipVerify:false SteadyState:true Extrapolate:true SteadyWindow:3 TailCache:<nil>}`,
 			"prefix\x00class=A placement=rand seed=0 scale=1 threads=0",
 			"rand-IRIX",
+		},
+		{
+			// A Class W -steady -threads 1 sweep cell, as the paper sweep
+			// stores it.
+			nas.Config{Class: nas.ClassW, Placement: vm.WorstCase, KernelMig: true, Threads: 1, Seed: 42, SteadyState: true},
+			`{Class:W Placement:wc KernelMig:true UPM:off UPMOptions:{Threshold:0 MinAccesses:0 MaxCritical:0 FreezeBounces:0 ScanCostPerPage:0} Kmig:{Threshold:0 MaxPerScan:0 ScanEvery:0 DecayEvery:0 MinScanPS:0} Threads:1 Iterations:0 ComputeScale:1 PerturbAt:0 Seed:42 Tweak:<nil> Tracer:<nil> Metrics:<nil> SkipVerify:false SteadyState:true Extrapolate:true SteadyWindow:3 TailCache:<nil>}`,
+			"prefix\x00class=W placement=wc seed=42 scale=1 threads=1",
+			"wc-IRIXmig",
 		},
 	}
 	for i, c := range cases {

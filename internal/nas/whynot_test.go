@@ -10,11 +10,11 @@ import (
 	"upmgo/internal/vm"
 )
 
-// steadyCfg is the common arming: detector plus extrapolation, so a nil
-// WhyNot means the fast path genuinely engaged.
+// steadyCfg is the common arming: the steady-state fast-forward on, so a
+// nil WhyNot means it genuinely engaged.
 func steadyCfg(iters int) nas.Config {
 	return nas.Config{Class: nas.ClassS, Placement: vm.FirstTouch, Threads: 1,
-		Iterations: iters, SteadyState: true, Extrapolate: true}
+		Iterations: iters, SteadyState: true}
 }
 
 func runWhy(t *testing.T, build nas.Builder, cfg nas.Config) *nas.WhyNot {
@@ -23,8 +23,8 @@ func runWhy(t *testing.T, build nas.Builder, cfg nas.Config) *nas.WhyNot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ExtrapolatedIters > 0 || res.CampaignIters > 0 {
-		t.Fatalf("fast path engaged (%d extrapolated, %d campaign); the case should decline", res.ExtrapolatedIters, res.CampaignIters)
+	if res.ExtrapolatedIters > 0 {
+		t.Fatalf("fast path engaged (%d extrapolated); the case should decline", res.ExtrapolatedIters)
 	}
 	if res.FastPath.WhyNot == nil {
 		t.Fatalf("declined fast-forward carries no WhyNot: %+v", res.FastPath)
@@ -60,30 +60,12 @@ func TestWhyNotPerturbed(t *testing.T) {
 	}
 }
 
-// TestWhyNotPeriodBeyondCapRestricted: a genuine period-3 orbit under
-// PeriodK=1 must be diagnosed as periodic-beyond-the-cap with the true
-// period as the best candidate — the evidence that raising PeriodK would
-// recover the fast path.
-func TestWhyNotPeriodBeyondCapRestricted(t *testing.T) {
-	cfg := steadyCfg(24)
-	cfg.PeriodK = 1
-	w := runWhy(t, synthBuilder(0, 3), cfg)
-	if w.Reason != nas.WhyNotPeriodBeyondCap {
-		t.Fatalf("reason = %q, want %q (%s)", w.Reason, nas.WhyNotPeriodBeyondCap, w)
-	}
-	if w.BestPeriod != 3 {
-		t.Errorf("best candidate period = %d, want 3", w.BestPeriod)
-	}
-}
-
 // TestWhyNotPeriodBeyondCapAdversary: the period-9 reference string of
-// campaign_test exceeds the global cap (8). The run simulates in full by
-// design, and the diagnosis must identify the hidden period rather than
-// calling the stream aperiodic.
+// TestSteadyPeriod9Adversary exceeds the detector's cap (8). The run
+// simulates in full by design, and the diagnosis must identify the hidden
+// period rather than calling the stream aperiodic.
 func TestWhyNotPeriodBeyondCapAdversary(t *testing.T) {
-	cfg := steadyCfg(30)
-	cfg.SteadyWindow = 9
-	w := runWhy(t, synthBuilder(0, 9), cfg)
+	w := runWhy(t, synthBuilder(0, 9), steadyCfg(30))
 	if w.Reason != nas.WhyNotPeriodBeyondCap {
 		t.Fatalf("reason = %q, want %q (%s)", w.Reason, nas.WhyNotPeriodBeyondCap, w)
 	}
@@ -94,15 +76,13 @@ func TestWhyNotPeriodBeyondCapAdversary(t *testing.T) {
 
 // TestWhyNotHomesMoving: a kernel-migration campaign that outlasts the
 // run keeps the page-home map in motion, so no counter orbit can close.
-// With the analytic drain off (the incompressible-campaign stand-in: the
-// drain's determinism proof never applies), the diagnosis must blame the
-// moving homes, not the counters.
+// The diagnosis must blame the moving homes, not the counters.
 func TestWhyNotHomesMoving(t *testing.T) {
 	cfg := nas.Config{
 		Class: nas.ClassS, Placement: vm.FirstTouch, Threads: 1,
 		Iterations: 10, KernelMig: true,
 		Kmig:        kmig.Config{DecayEvery: -1, MinScanPS: -1},
-		SteadyState: true, Extrapolate: true, NoCampaignFF: true,
+		SteadyState: true,
 	}
 	w := runWhy(t, synthBuilder(1000, 0), cfg)
 	if w.Reason != nas.WhyNotHomesMoving {
@@ -116,26 +96,31 @@ func TestWhyNotHomesMoving(t *testing.T) {
 	}
 }
 
-// TestWhyNotDeclinedModes: the paths where detection worked but
-// fast-forwarding was declined or disarmed still produce a typed reason:
-// detection-only runs, runs whose orbit closes on the final iteration,
-// and sampler-vetoed runs.
+// TestWhyNotDeclinedModes: the paths where fast-forwarding was declined
+// or disarmed still produce a typed reason: a run whose orbit closes on
+// the final iteration, and a sampler-vetoed run.
 func TestWhyNotDeclinedModes(t *testing.T) {
-	cfg := steadyCfg(12)
-	cfg.Extrapolate = false
-	res, err := nas.Run(bt.New, cfg)
+	// The same cell cut off exactly at its detection point leaves no tail.
+	full, err := nas.Run(bt.New, steadyCfg(12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SteadyAt == 0 {
-		t.Fatalf("detection-only run never detected: %+v", res)
+	if full.SteadyAt == 0 {
+		t.Fatalf("BT/12 never detected: %+v", full)
+	}
+	res, err := nas.Run(bt.New, steadyCfg(full.SteadyAt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SteadyAt != full.SteadyAt {
+		t.Fatalf("truncated run detected at %d, want %d", res.SteadyAt, full.SteadyAt)
 	}
 	w := res.FastPath.WhyNot
-	if w == nil || w.Reason != nas.WhyNotDetectionOnly {
-		t.Fatalf("detection-only WhyNot = %+v, want reason %q", w, nas.WhyNotDetectionOnly)
+	if w == nil || w.Reason != nas.WhyNotNoTail {
+		t.Fatalf("final-iteration WhyNot = %+v, want reason %q", w, nas.WhyNotNoTail)
 	}
 	if !res.FastPath.SteadyDetected || res.FastPath.Extrapolated {
-		t.Errorf("detection-only flags wrong: %+v", res.FastPath)
+		t.Errorf("final-iteration flags wrong: %+v", res.FastPath)
 	}
 
 	scfg := steadyCfg(12)
@@ -170,7 +155,7 @@ func TestWhyNotEngagedIsNil(t *testing.T) {
 // (cmd/nasbench prints these verbatim).
 func TestWhyNotStrings(t *testing.T) {
 	reasons := []nas.WhyNotReason{
-		nas.WhyNotSampler, nas.WhyNotDetectionOnly, nas.WhyNotNoTail,
+		nas.WhyNotSampler, nas.WhyNotNoTail,
 		nas.WhyNotLoopTooShort, nas.WhyNotPerturbed, nas.WhyNotPeriodBeyondCap,
 		nas.WhyNotHomesMoving, nas.WhyNotAperiodic,
 	}

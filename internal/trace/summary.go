@@ -47,13 +47,6 @@ type Summary struct {
 	ExtrapolatedIters int   `json:"extrapolated_iters,omitempty"`
 	ExtrapolatedPS    int64 `json:"extrapolated_ps,omitempty"`
 
-	// Analytic campaign fast-forward (zero when no kernel-migration
-	// campaign was drained in closed form): iterations the drain covered
-	// and the picoseconds they account for. Accounted like an
-	// extrapolated span — no iter/region events inside it.
-	CampaignIters int   `json:"campaign_iters,omitempty"`
-	CampaignPS    int64 `json:"campaign_ps,omitempty"`
-
 	Phases        []PhaseTotal `json:"phases"` // first-appearance order
 	SerialPS      int64        `json:"serial_ps"`
 	MarkedPhasePS int64        `json:"marked_phase_ps"` // z_solve spans
@@ -161,12 +154,6 @@ func Summarize(events []Event) Summary {
 			s.ExtrapolatedIters += int(ev.Arg0)
 			s.ExtrapolatedPS += ev.Arg1
 			lastIterEnd = ev.Time
-		case EvCampaignFF:
-			// Mid-loop analytic drain, stamped with the post-drain clock;
-			// simulated iterations resume after it.
-			s.CampaignIters += int(ev.Arg0)
-			s.CampaignPS += ev.Arg1
-			lastIterEnd = ev.Time
 		case EvShootdown:
 			s.Shootdowns += ev.Arg0
 		case EvPageFault:
@@ -177,7 +164,7 @@ func Summarize(events []Event) Summary {
 	}
 	if haveIter {
 		s.TotalPS = lastIterEnd - firstIterStart
-		s.SerialPS = s.TotalPS - regionPS - s.ExtrapolatedPS - s.CampaignPS
+		s.SerialPS = s.TotalPS - regionPS - s.ExtrapolatedPS
 	}
 	return s
 }
@@ -198,10 +185,6 @@ func WriteSummary(w io.Writer, s Summary) {
 		if s.ExtrapolatedIters > 0 {
 			fmt.Fprintf(w, "  %-16s %4d iters    %14d ps  %5.1f%%\n",
 				"(extrapolated)", s.ExtrapolatedIters, s.ExtrapolatedPS, pct(s.ExtrapolatedPS))
-		}
-		if s.CampaignIters > 0 {
-			fmt.Fprintf(w, "  %-16s %4d iters    %14d ps  %5.1f%%\n",
-				"(campaign)", s.CampaignIters, s.CampaignPS, pct(s.CampaignPS))
 		}
 	}
 	if s.MarkedPhasePS > 0 {

@@ -107,13 +107,6 @@ const (
 	// iter/region/barrier events for the extrapolated span — Summary's
 	// ExtrapolatedIters/ExtrapolatedPS fields restore the sum contract.
 	EvExtrapolate
-	// EvCampaignFF marks an analytic campaign fast-forward: a
-	// kernel-migration campaign over proven-frozen compute was drained in
-	// closed form instead of simulated. Stamped with the post-drain clock;
-	// Arg0 is the number of drained iterations, Arg1 the total picoseconds
-	// they account for. Like EvExtrapolate, the drained span carries no
-	// iter/region/barrier events.
-	EvCampaignFF
 )
 
 var kindNames = [...]string{
@@ -138,7 +131,6 @@ var kindNames = [...]string{
 	EvUPMUndo:        "upm_undo",
 	EvSteadyState:    "steady_state",
 	EvExtrapolate:    "extrapolate",
-	EvCampaignFF:     "campaign_ff",
 }
 
 // String returns the kind's snake_case name.

@@ -444,20 +444,18 @@ type (
 
 // The typed reasons a steady-armed run declined its fast-forward.
 const (
-	WhyNotSampler       = nas.WhyNotSampler
-	WhyNotDetectionOnly = nas.WhyNotDetectionOnly
-	WhyNotNoTail        = nas.WhyNotNoTail
-	WhyNotLoopTooShort  = nas.WhyNotLoopTooShort
-	WhyNotPerturbed     = nas.WhyNotPerturbed
-	WhyNotPeriodBeyond  = nas.WhyNotPeriodBeyondCap
-	WhyNotHomesMoving   = nas.WhyNotHomesMoving
-	WhyNotAperiodic     = nas.WhyNotAperiodic
+	WhyNotSampler      = nas.WhyNotSampler
+	WhyNotNoTail       = nas.WhyNotNoTail
+	WhyNotLoopTooShort = nas.WhyNotLoopTooShort
+	WhyNotPerturbed    = nas.WhyNotPerturbed
+	WhyNotPeriodBeyond = nas.WhyNotPeriodBeyondCap
+	WhyNotHomesMoving  = nas.WhyNotHomesMoving
+	WhyNotAperiodic    = nas.WhyNotAperiodic
 )
 
 // FastPathKind values, cheapest first.
 const (
 	FastPathRecalled = exp.FastPathRecalled
-	FastPathCampaign = exp.FastPathCampaign
 	FastPathSteadyPK = exp.FastPathSteadyPK
 	FastPathSteadyP1 = exp.FastPathSteadyP1
 	FastPathFullSim  = exp.FastPathFullSim

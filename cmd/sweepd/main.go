@@ -63,6 +63,12 @@ func main() {
 // server is accepting, so tests can drive a real listener on port 0.
 var serving = func(addr string) {}
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that stalls mid-header (or opens
+// connections and says nothing) cannot pin connections forever. A
+// variable only so tests can shorten it.
+var readHeaderTimeout = 10 * time.Second
+
 // run is main without the process exit: it parses args, then either
 // performs one offline store-admin action or serves the job API until
 // ctx is cancelled (the signal path) and the drain completes.
@@ -116,7 +122,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("-addr: %w", err)
 	}
-	srv := &http.Server{Handler: s.handler()}
+	srv := &http.Server{Handler: s.handler(), ReadHeaderTimeout: readHeaderTimeout}
 
 	workCtx, stopWork := context.WithCancel(context.Background())
 	go s.work(workCtx)

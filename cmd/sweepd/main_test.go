@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -168,5 +170,55 @@ func TestServeAndDrain(t *testing.T) {
 	}
 	if ck.Records != 8 || ck.Corrupt != 0 {
 		t.Errorf("store after drain: %+v, want 8 intact", ck)
+	}
+}
+
+// TestStalledHeaderClosed: a client that opens a connection and stalls
+// mid-header is cut off after readHeaderTimeout instead of holding the
+// connection forever, while other clients are served meanwhile.
+func TestStalledHeaderClosed(t *testing.T) {
+	oldTimeout, oldServing := readHeaderTimeout, serving
+	readHeaderTimeout = 300 * time.Millisecond
+	addrc := make(chan string, 1)
+	serving = func(addr string) { addrc <- addr }
+	defer func() { readHeaderTimeout, serving = oldTimeout, oldServing }()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var out, errw bytes.Buffer
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, []string{"-addr", "127.0.0.1:0"}, &out, &errw) }()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	var addr string
+	select {
+	case addr = <-addrc:
+	case err := <-done:
+		t.Fatalf("server exited early: %v (stderr: %s)", err, errw.String())
+	case <-time.After(10 * time.Second):
+		t.Fatal("server did not start")
+	}
+
+	start := time.Now() // before the server can accept, so before its deadline starts
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/jobs HTTP/1.1\r\nHost: sweepd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := http.Get("http://" + addr + "/v1/jobs"); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthy client while another stalls: %v %v", resp, err)
+	} else {
+		resp.Body.Close()
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled connection not closed by the server: %v", err)
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout {
+		t.Errorf("stalled connection closed after %v, before the %v header timeout", waited, readHeaderTimeout)
 	}
 }

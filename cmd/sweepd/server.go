@@ -183,15 +183,24 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
+// maxRequestBytes bounds a POST /v1/jobs body. A sweep request is a
+// kind and a handful of options, well under a kilobyte; anything near
+// this size is a broken or hostile client, answered 413 unread.
+const maxRequestBytes = 64 << 10
+
 // handleSubmit validates a sweep request, enumerates its cells, and
 // enqueues it. A full queue answers 503 so the client can back off; the
 // submission itself never blocks on simulation.
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	var req upmgo.SweepRequest
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		status := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	// SweepSpecs re-validates the kind (decode already did, via the

@@ -424,3 +424,30 @@ func TestRemovedOptionsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitOversizedBody: a POST /v1/jobs body past maxRequestBytes is
+// refused with 413 and never enqueued; a normal request still goes
+// through afterwards.
+func TestSubmitOversizedBody(t *testing.T) {
+	s, ts := startServer(t)
+	body := `{"kind":"figure1","options":{"benches":["` + strings.Repeat("B", maxRequestBytes) + `"]}}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: %s %s, want 413", resp.Status, msg)
+	}
+	s.mu.Lock()
+	n := len(s.jobs)
+	s.mu.Unlock()
+	if n != 0 {
+		t.Errorf("oversized body enqueued %d jobs", n)
+	}
+	blob, _ := json.Marshal(testRequest)
+	if _, resp := postJob(t, ts, string(blob)); resp.StatusCode != http.StatusAccepted {
+		t.Errorf("normal request after an oversized one: %s", resp.Status)
+	}
+}

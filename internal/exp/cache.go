@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"strings"
@@ -25,20 +26,22 @@ type Cache struct {
 	hits     uint64
 	misses   uint64
 
-	// Cold-start prefix snapshots (see nas.Prefix), keyed by
-	// bench + nas.Config.PrefixFingerprint. Engine variants of one
-	// (bench, class, placement, seed, scale, threads) tuple share a single
-	// simulated prefix and fork clones from it.
-	prefixes     map[string]*nas.Prefix
-	prefixFlight map[string]*inflightPrefix
-	prefixSims   uint64
-	forked       uint64
-
-	// Shared verification outcomes (see nas.VerifyCache): cells whose
-	// numerics are identical — same benchmark, class, iterations,
-	// threads, seed and scale, regardless of placement or engine —
-	// verify once; extrapolating cells then skip their free-run tails.
-	verify *nas.VerifyCache
+	// Shared simulation state, held in one LRU under a byte budget:
+	// cold-start prefix snapshots (see nas.Prefix), keyed by bench +
+	// nas.Config.PrefixFingerprint — engine variants of one (bench,
+	// class, placement, seed, scale, threads) tuple fork clones of a
+	// single simulated prefix — and recorded access programs (see
+	// nas.Program), keyed by bench + nas.Prefix.ProgramKey — every
+	// placement and engine of one numeric trajectory replays a single
+	// recording, whose Verify verdict it shares.
+	held                    map[string]*list.Element // of *heldEntry, most recent first in lru
+	lru                     list.List
+	heldBytes               int64
+	budget                  int64
+	flights                 map[string]*sharedFlight
+	prefixSims, programSims uint64
+	evicted                 uint64
+	forked                  uint64
 
 	// Second level: the on-disk content-addressed result store, when
 	// attached with SetStore. Reads go through (RAM, then disk, then
@@ -78,20 +81,37 @@ const (
 	SourceSimulated = "simulated"
 )
 
-type inflightPrefix struct {
+// retainBudget bounds the bytes of prefix snapshots and programs a
+// Cache keeps. A Class W prefix holds 3.8 MiB and a Class W program at
+// most 3.4 MiB (SP), so `sweep -all -class W` — 21 prefixes and 6
+// programs, 86 MiB — keeps everything, while a long-lived cache —
+// sweepd's, across jobs with ever-new seeds — stops growing here instead
+// of keeping every snapshot it ever built.
+const retainBudget = 128 << 20
+
+// sized is what the cache retains: a prefix snapshot or a program.
+type sized interface{ Bytes() int64 }
+
+type heldEntry struct {
+	key  string
+	val  sized
+	size int64
+}
+
+type sharedFlight struct {
 	done chan struct{}
-	p    *nas.Prefix
+	val  sized
 	err  error
 }
 
 // NewCache returns an empty cell cache.
 func NewCache() *Cache {
 	return &Cache{
-		cells:        map[string]Cell{},
-		inflight:     map[string]*inflightCell{},
-		prefixes:     map[string]*nas.Prefix{},
-		prefixFlight: map[string]*inflightPrefix{},
-		verify:       nas.NewVerifyCache(),
+		cells:    map[string]Cell{},
+		inflight: map[string]*inflightCell{},
+		held:     map[string]*list.Element{},
+		budget:   retainBudget,
+		flights:  map[string]*sharedFlight{},
 	}
 }
 
@@ -112,6 +132,13 @@ type CacheStats struct {
 	// Prefixes counts cold-start prefix simulations (each is shared by
 	// every forked cell with the same prefix fingerprint).
 	Prefixes uint64
+	// Programs counts access-program recordings (each is replayed by
+	// every simulated cell with the same numeric key).
+	Programs uint64
+	// Evicted counts prefixes and programs dropped to stay within the
+	// retention budget; HeldBytes is what the cache holds now.
+	Evicted   uint64
+	HeldBytes int64
 	// StorePuts counts cells persisted to the store; StoreErrors counts
 	// store reads or writes that failed (the cells themselves still
 	// succeeded), with StoreErr holding the most recent failure.
@@ -125,7 +152,8 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{Hits: c.hits, DiskHits: c.diskHits, Misses: c.misses,
-		Forked: c.forked, Prefixes: c.prefixSims,
+		Forked: c.forked, Prefixes: c.prefixSims, Programs: c.programSims,
+		Evicted: c.evicted, HeldBytes: c.heldBytes,
 		StorePuts: c.storePuts, StoreErrors: c.storeErrs, StoreErr: c.lastStoreErr}
 }
 
@@ -282,20 +310,45 @@ func (c *Cache) noteStoreErr(err error) {
 	c.mu.Unlock()
 }
 
-// prefix returns the cached prefix snapshot for key, simulating it with
-// fn at most once per key at a time. The single-flight discipline is
-// cell's: errors are not cached, a leader's failure is not inherited,
-// and a surviving waiter retries as the new leader. Prefixes are
-// immutable once built (forks only ever clone them), so one snapshot may
-// be handed to any number of concurrent callers.
+// prefix returns the prefix snapshot for key, simulating it with fn
+// if the cache holds none (see shared).
 func (c *Cache) prefix(ctx context.Context, key string, fn func() (*nas.Prefix, error)) (*nas.Prefix, error) {
+	v, err := c.shared(ctx, "prefix\x00"+key, &c.prefixSims, func() (sized, error) { return fn() })
+	if err != nil {
+		return nil, err
+	}
+	return v.(*nas.Prefix), nil
+}
+
+// program returns the access program for key, recording it with fn if
+// the cache holds none (see shared). led reports whether this call ran
+// fn; a follower's time was spent waiting.
+func (c *Cache) program(ctx context.Context, key string, fn func() (*nas.Program, error)) (p *nas.Program, led bool, err error) {
+	v, err := c.shared(ctx, "program\x00"+key, &c.programSims, func() (sized, error) {
+		led = true
+		return fn()
+	})
+	if err != nil {
+		return nil, led, err
+	}
+	return v.(*nas.Program), led, nil
+}
+
+// shared returns the retained value for key, building it with fn at most
+// once per key at a time (counting builds in *builds). The single-flight
+// discipline is cell's: errors are not cached, a leader's failure is not
+// inherited, and a surviving waiter retries as the new leader. Values
+// are immutable once built, so one may be handed to any number of
+// concurrent callers; an evicted one stays valid for whoever holds it.
+func (c *Cache) shared(ctx context.Context, key string, builds *uint64, fn func() (sized, error)) (sized, error) {
 	for {
 		c.mu.Lock()
-		if p, ok := c.prefixes[key]; ok {
+		if e, ok := c.held[key]; ok {
+			c.lru.MoveToFront(e)
 			c.mu.Unlock()
-			return p, nil
+			return e.Value.(*heldEntry).val, nil
 		}
-		if f, ok := c.prefixFlight[key]; ok {
+		if f, ok := c.flights[key]; ok {
 			c.mu.Unlock()
 			select {
 			case <-f.done:
@@ -303,7 +356,7 @@ func (c *Cache) prefix(ctx context.Context, key string, fn func() (*nas.Prefix, 
 				return nil, ctx.Err()
 			}
 			if f.err == nil {
-				return f.p, nil
+				return f.val, nil
 			}
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -314,21 +367,39 @@ func (c *Cache) prefix(ctx context.Context, key string, fn func() (*nas.Prefix, 
 			c.mu.Unlock()
 			return nil, err
 		}
-		f := &inflightPrefix{done: make(chan struct{})}
-		c.prefixFlight[key] = f
-		c.prefixSims++
+		f := &sharedFlight{done: make(chan struct{})}
+		c.flights[key] = f
+		*builds++
 		c.mu.Unlock()
 
-		f.p, f.err = fn()
+		f.val, f.err = fn()
 
 		c.mu.Lock()
-		delete(c.prefixFlight, key)
+		delete(c.flights, key)
 		if f.err == nil {
-			c.prefixes[key] = f.p
+			c.retain(key, f.val)
 		}
 		c.mu.Unlock()
 		close(f.done)
-		return f.p, f.err
+		return f.val, f.err
+	}
+}
+
+// retain holds v under key, evicting least recently used values until
+// the budget holds. A value larger than the whole budget is not held.
+// Called with mu held.
+func (c *Cache) retain(key string, v sized) {
+	size := v.Bytes()
+	if size > c.budget {
+		return
+	}
+	c.held[key] = c.lru.PushFront(&heldEntry{key: key, val: v, size: size})
+	c.heldBytes += size
+	for c.heldBytes > c.budget {
+		h := c.lru.Remove(c.lru.Back()).(*heldEntry)
+		delete(c.held, h.key)
+		c.heldBytes -= h.size
+		c.evicted++
 	}
 }
 

@@ -222,12 +222,12 @@ func (o *SweepOptions) defaults() {
 }
 
 // run executes one configuration cell.
-func run(bench string, cfg nas.Config) (Cell, error) {
+func run(bench string, cfg nas.Config, shared func(string, func() (*nas.Program, error)) (*nas.Program, error)) (Cell, error) {
 	b, ok := Builder(bench)
 	if !ok {
 		return Cell{}, fmt.Errorf("exp: %w: %q", ErrUnknownBenchmark, bench)
 	}
-	r, err := nas.Run(b, cfg)
+	r, err := nas.RunShared(b, cfg, shared)
 	if err != nil {
 		return Cell{}, fmt.Errorf("exp: %s %s: %w", bench, cfg.Label(), err)
 	}

@@ -45,16 +45,16 @@ type StageSeconds struct {
 	Recall      float64 `json:"recall,omitempty"`
 	Prefix      float64 `json:"prefix,omitempty"`
 	Fork        float64 `json:"fork,omitempty"`
+	Record      float64 `json:"record,omitempty"`
 	TimedLoop   float64 `json:"timed_loop,omitempty"`
 	Extrapolate float64 `json:"extrapolate,omitempty"`
-	FreeRunTail float64 `json:"free_run_tail,omitempty"`
 	Verify      float64 `json:"verify,omitempty"`
 }
 
 // Sum returns the total seconds attributed to named stages.
 func (s StageSeconds) Sum() float64 {
-	return s.StoreProbe + s.Recall + s.Prefix + s.Fork +
-		s.TimedLoop + s.Extrapolate + s.FreeRunTail + s.Verify
+	return s.StoreProbe + s.Recall + s.Prefix + s.Fork + s.Record +
+		s.TimedLoop + s.Extrapolate + s.Verify
 }
 
 // add accumulates o into s.
@@ -63,9 +63,9 @@ func (s *StageSeconds) add(o StageSeconds) {
 	s.Recall += o.Recall
 	s.Prefix += o.Prefix
 	s.Fork += o.Fork
+	s.Record += o.Record
 	s.TimedLoop += o.TimedLoop
 	s.Extrapolate += o.Extrapolate
-	s.FreeRunTail += o.FreeRunTail
 	s.Verify += o.Verify
 }
 
@@ -76,9 +76,9 @@ func (s StageSeconds) Each(f func(name string, seconds float64)) {
 	f("recall", s.Recall)
 	f("prefix", s.Prefix)
 	f("fork", s.Fork)
+	f("record", s.Record)
 	f("timed_loop", s.TimedLoop)
 	f("extrapolate", s.Extrapolate)
-	f("free_run_tail", s.FreeRunTail)
 	f("verify", s.Verify)
 }
 
@@ -122,9 +122,9 @@ func newCellReport(spec CellSpec, c Cell, meta *cellMeta, hs *nas.HostStages) *C
 			StoreProbe:  meta.storeProbe.Seconds(),
 			Prefix:      hs.Prefix.Seconds(),
 			Fork:        hs.Fork.Seconds(),
+			Record:      hs.Record.Seconds(),
 			TimedLoop:   hs.TimedLoop.Seconds(),
 			Extrapolate: hs.Extrapolate.Seconds(),
-			FreeRunTail: hs.FreeRunTail.Seconds(),
 			Verify:      hs.Verify.Seconds(),
 		},
 	}

@@ -71,8 +71,8 @@ func TestCellReportSimulated(t *testing.T) {
 		if sum > rep.HostSeconds+1e-3 {
 			t.Errorf("%s %s: attributed %.6fs exceeds host %.6fs", rep.Bench, rep.Label, sum, rep.HostSeconds)
 		}
-		if rep.Stages.TimedLoop <= 0 {
-			t.Errorf("%s %s: simulated cell charges no timed-loop time: %+v", rep.Bench, rep.Label, rep.Stages)
+		if rep.Stages.TimedLoop <= 0 || rep.Stages.Record <= 0 {
+			t.Errorf("%s %s: simulated cell charges no timed-loop or recording time: %+v", rep.Bench, rep.Label, rep.Stages)
 		}
 		if rep.Stages.Recall != 0 || rep.Stages.StoreProbe != 0 {
 			t.Errorf("%s %s: simulated, storeless cell charges recall/store stages: %+v", rep.Bench, rep.Label, rep.Stages)

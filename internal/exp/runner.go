@@ -223,7 +223,8 @@ func (r Runner) Cells(ctx context.Context, specs []CellSpec) ([]Cell, error) {
 // runCell executes or recalls one cell. Memoizable cells simulate by
 // forking the benchmark's shared cold-start prefix (simulated once per
 // prefix fingerprint, held in the Cache) unless NoFork asks for the
-// from-scratch path; either way the Cell is the same.
+// from-scratch path; either way they replay the access program shared
+// by their numeric key, and the Cell is the same.
 //
 // The returned CellReport (never nil) carries the cell's provenance and
 // host-stage attribution; the caller fills HostSeconds via setHost once
@@ -234,15 +235,6 @@ func (r Runner) runCell(ctx context.Context, spec CellSpec) (Cell, *CellReport, 
 	hs := &nas.HostStages{}
 	meta := &cellMeta{source: SourceSimulated}
 	spec.Config.HostStages = hs
-	if r.Cache != nil {
-		// Share verification outcomes across the batch: placement and
-		// engine variants of one benchmark compute identical numerics, so
-		// the first to verify spares every later extrapolating cell its
-		// free-run tail. Attached before Key() on purpose — the
-		// fingerprint canonicalises the cache away, results being
-		// bit-identical with or without it.
-		spec.Config.TailCache = r.Cache.verify
-	}
 	if r.TraceDir != "" {
 		spec.Config.Tracer = trace.NewRecorder()
 	}
@@ -255,7 +247,11 @@ func (r Runner) runCell(ctx context.Context, spec CellSpec) (Cell, *CellReport, 
 	}
 	if r.Cache != nil {
 		if key, ok := spec.Key(); ok {
-			sim := func() (Cell, error) { return run(spec.Bench, spec.Config) }
+			sim := func() (Cell, error) {
+				return run(spec.Bench, spec.Config, func(key string, record func() (*nas.Program, error)) (*nas.Program, error) {
+					return r.program(ctx, spec, key, record)
+				})
+			}
 			if !r.NoFork {
 				if pkey, ok := spec.Config.PrefixFingerprint(); ok {
 					sim = func() (Cell, error) { return r.forkCell(ctx, spec, pkey) }
@@ -265,7 +261,7 @@ func (r Runner) runCell(ctx context.Context, spec CellSpec) (Cell, *CellReport, 
 			return c, newCellReport(spec, c, meta, hs), err
 		}
 	}
-	c, err := run(spec.Bench, spec.Config)
+	c, err := run(spec.Bench, spec.Config, nil)
 	if err == nil && r.TraceDir != "" {
 		err = r.writeTrace(spec, spec.Config.Tracer.(*trace.Recorder))
 	}
@@ -276,9 +272,11 @@ func (r Runner) runCell(ctx context.Context, spec CellSpec) (Cell, *CellReport, 
 }
 
 // forkCell simulates spec from the shared prefix snapshot for pkey,
-// building the snapshot first if this is the fingerprint's first cell.
-// Concurrent cells with the same prefix coalesce onto one cold-start
-// simulation and fork independent clones from it.
+// building the snapshot first if this is the fingerprint's first cell,
+// and replays the shared access program of its numeric key, recording
+// it first if this is the key's first cell. Concurrent cells with the
+// same prefix (or key) coalesce onto one cold-start simulation (or one
+// recording); each forks an independent clone.
 func (r Runner) forkCell(ctx context.Context, spec CellSpec, pkey string) (Cell, error) {
 	b, ok := Builder(spec.Bench)
 	if !ok {
@@ -306,7 +304,13 @@ func (r Runner) forkCell(ctx context.Context, spec CellSpec, pkey string) (Cell,
 	if err != nil {
 		return Cell{}, fmt.Errorf("exp: %s %s: %w", spec.Bench, spec.Config.Label(), err)
 	}
-	res, err := p.RunFromSnapshot(spec.Config)
+	prog, err := r.program(ctx, spec, p.ProgramKey(spec.Config), func() (*nas.Program, error) {
+		return p.Record(spec.Config)
+	})
+	if err != nil {
+		return Cell{}, fmt.Errorf("exp: %s %s: %w", spec.Bench, spec.Config.Label(), err)
+	}
+	res, err := p.Replay(spec.Config, prog)
 	if err != nil {
 		return Cell{}, fmt.Errorf("exp: %s %s: %w", spec.Bench, spec.Config.Label(), err)
 	}
@@ -315,6 +319,23 @@ func (r Runner) forkCell(ctx context.Context, spec CellSpec, pkey string) (Cell,
 	}
 	r.Cache.noteFork()
 	return Cell{Bench: spec.Bench, Label: res.Label, Result: res}, nil
+}
+
+// program returns the access program for spec's numeric key from the
+// Cache, recording it with record if this is the key's first cell. The
+// recording is charged like a prefix: the leader's record and verify
+// stages are the recording's own, a follower charges its wait to record.
+func (r Runner) program(ctx context.Context, spec CellSpec, key string, record func() (*nas.Program, error)) (*nas.Program, error) {
+	hs := spec.Config.HostStages
+	var t0 time.Time
+	if hs != nil {
+		t0 = time.Now()
+	}
+	prog, led, err := r.Cache.program(ctx, spec.Bench+"\x00"+key, record)
+	if hs != nil && !led {
+		hs.Record += time.Since(t0)
+	}
+	return prog, err
 }
 
 // cellBase is a cell's canonical file/label stem, shared by the trace

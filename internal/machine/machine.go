@@ -147,10 +147,9 @@ type Machine struct {
 
 	// freeRun suspends every virtual-time effect of execution: touches
 	// charge nothing, clocks freeze, barrier settlement (and its hooks)
-	// becomes a no-op and the tracer is hidden. The steady-state
-	// fast-forward engine uses it to advance a kernel's *numerical* state
-	// through extrapolated iterations while the machine's clocks and
-	// counters have already been advanced analytically.
+	// becomes a no-op and the tracer is hidden. The NAS driver records a
+	// kernel's access program in it: the kernel's *numerical* state
+	// advances while the machine is left exactly as it was.
 	freeRun bool
 
 	// refCounting gates page reference-counter accumulation (CountMiss /
@@ -171,8 +170,7 @@ type Machine struct {
 func (m *Machine) SetTracer(t trace.Tracer) { m.tracer = t }
 
 // Tracer returns the attached tracer, or nil. During free-run it returns
-// nil: extrapolated iterations must not emit events, since their virtual
-// time has already been accounted for analytically.
+// nil: a free-run execution simulates nothing, so it must emit no events.
 func (m *Machine) Tracer() trace.Tracer {
 	if m.freeRun {
 		return nil
@@ -390,8 +388,8 @@ func (m *Machine) MigrationCost() int64 {
 // then assign the returned time to every participating clock.
 func (m *Machine) Settle(cpus []*CPU, start int64) int64 {
 	if m.freeRun {
-		// Free-run: clocks are frozen at their extrapolated values and
-		// barrier hooks (the kernel migration engine) must not fire.
+		// Free-run: clocks are frozen and barrier hooks (the kernel
+		// migration engine) must not fire.
 		return start
 	}
 	tmax := start
@@ -559,7 +557,34 @@ type CPU struct {
 
 	nodeAcc []int64 // memory accesses per home node in the current region
 	stat    CPUStats
+	rec     Recorder // nil unless a recording is attached (SetRecorder)
 }
+
+// Op names one of the six recordable CPU calls.
+type Op uint8
+
+// The recordable calls.
+const (
+	OpLoad Op = iota
+	OpStore
+	OpLoadRun
+	OpStoreRun
+	OpFlops
+	OpAdvance
+)
+
+// Recorder receives every Load, Store, LoadRun, StoreRun, Flops and
+// Advance call of the CPU it is attached to, before the call takes
+// effect (and also in free-run mode, where the call itself is inert).
+// arg is the address, the flop count or the picoseconds; n and stride
+// are a run's element count and byte stride. Calls arrive on the
+// goroutine driving the CPU.
+type Recorder interface {
+	Record(op Op, arg uint64, n int, stride uint64)
+}
+
+// SetRecorder attaches r to the CPU; nil detaches it.
+func (c *CPU) SetRecorder(r Recorder) { c.rec = r }
 
 // CPUStats counts this CPU's memory-system events.
 type CPUStats struct {
@@ -579,7 +604,7 @@ func (c *CPU) Machine() *Machine { return c.m }
 func (c *CPU) Now() int64 { return c.clock }
 
 // SetClock forces the CPU clock; the omp runtime uses it at fork/join.
-// In free-run mode the clock is frozen at its extrapolated value.
+// In free-run mode the clock is frozen.
 func (c *CPU) SetClock(t int64) {
 	if c.m.freeRun {
 		return
@@ -589,6 +614,9 @@ func (c *CPU) SetClock(t int64) {
 
 // Advance adds ps picoseconds of pure computation to the clock.
 func (c *CPU) Advance(ps int64) {
+	if c.rec != nil {
+		c.rec.Record(OpAdvance, uint64(ps), 0, 0)
+	}
 	if c.m.freeRun {
 		return
 	}
@@ -597,6 +625,9 @@ func (c *CPU) Advance(ps int64) {
 
 // Flops charges n floating-point operations of computation.
 func (c *CPU) Flops(n int) {
+	if c.rec != nil {
+		c.rec.Record(OpFlops, uint64(n), 0, 0)
+	}
 	if c.m.freeRun {
 		return
 	}
@@ -607,11 +638,21 @@ func (c *CPU) Flops(n int) {
 func (c *CPU) Stat() CPUStats { return c.stat }
 
 // Load performs one simulated read of addr.
-func (c *CPU) Load(addr uint64) { c.touch(addr, false) }
+func (c *CPU) Load(addr uint64) {
+	if c.rec != nil {
+		c.rec.Record(OpLoad, addr, 1, 0)
+	}
+	c.touch(addr, false)
+}
 
 // Store performs one simulated write of addr, invalidating every other
 // CPU's cached copy of the coherence unit.
-func (c *CPU) Store(addr uint64) { c.touch(addr, true) }
+func (c *CPU) Store(addr uint64) {
+	if c.rec != nil {
+		c.rec.Record(OpStore, addr, 1, 0)
+	}
+	c.touch(addr, true)
+}
 
 // LoadRun performs n simulated reads of addr, addr+stride, ...,
 // addr+(n-1)*stride (stride in bytes). It charges exactly what n Load
@@ -619,12 +660,22 @@ func (c *CPU) Store(addr uint64) { c.touch(addr, true) }
 // totals — but pays the directory, cache, TLB and page-table machinery
 // once per line or page instead of once per element (see DESIGN.md,
 // "Bulk-access fast path").
-func (c *CPU) LoadRun(addr uint64, n int, stride uint64) { c.touchRun(addr, n, stride, false) }
+func (c *CPU) LoadRun(addr uint64, n int, stride uint64) {
+	if c.rec != nil {
+		c.rec.Record(OpLoadRun, addr, n, stride)
+	}
+	c.touchRun(addr, n, stride, false)
+}
 
 // StoreRun performs n simulated writes of addr, addr+stride, ...,
 // addr+(n-1)*stride, with the same per-event equivalence to n Store calls
 // as LoadRun has to Load.
-func (c *CPU) StoreRun(addr uint64, n int, stride uint64) { c.touchRun(addr, n, stride, true) }
+func (c *CPU) StoreRun(addr uint64, n int, stride uint64) {
+	if c.rec != nil {
+		c.rec.Record(OpStoreRun, addr, n, stride)
+	}
+	c.touchRun(addr, n, stride, true)
+}
 
 // touchRun is the bulk-access engine behind LoadRun and StoreRun. The run
 // is segmented page -> coherence unit (L2 line) -> L1 line; each level

@@ -59,11 +59,13 @@ func (m *Machine) Clone() *Machine {
 	return c
 }
 
-// RewindHeap resets the allocation cursor to the bottom of the arena
-// without touching any other state. A forked run uses it to rebuild its
-// kernel: kernel constructors allocate deterministically, so replaying
-// the same build sequence on a rewound clone reproduces the parent's
-// exact addresses while binding the rebuilt host-side arrays to the
-// clone. Callers should assert AllocatedPages afterwards matches the
-// parent's.
-func (m *Machine) RewindHeap() { m.heap = 0 }
+// Bytes estimates the heap the machine's state holds: the coherence
+// directory, the page table and every CPU's caches, TLB and tallies. It
+// is what a retained snapshot costs, for callers that budget them.
+func (m *Machine) Bytes() int64 {
+	b := int64(len(m.lineState))*4 + m.PT.Bytes()
+	for _, c := range m.cpus {
+		b += c.l1.Bytes() + c.l2.Bytes() + c.tlb.Bytes() + int64(len(c.nodeAcc))*8
+	}
+	return b
+}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -116,21 +117,18 @@ func TestCloneIsolation(t *testing.T) {
 	}
 }
 
-// TestCloneRewindHeapReplaysAllocations: allocation on a rewound clone is
-// deterministic and returns the original addresses — the property kernel
-// rebuilds on forks rely on.
-func TestCloneRewindHeapReplaysAllocations(t *testing.T) {
+// TestFreshMachineReplaysAllocations: the same allocation sequence on a
+// blank machine built from a machine's own Cfg returns the original
+// addresses — the property a program recording relies on when it builds
+// its kernel on a blank machine of a snapshot's geometry.
+func TestFreshMachineReplaysAllocations(t *testing.T) {
 	m := MustNew(cloneConfig())
 	sizes := []int{100, 4096, 1, 3 * 1024}
 	var addrs []uint64
 	for _, s := range sizes {
 		addrs = append(addrs, m.Alloc(s))
 	}
-	c := m.Clone()
-	c.RewindHeap()
-	if c.AllocatedPages() != 0 {
-		t.Fatalf("rewound clone reports %d allocated pages", c.AllocatedPages())
-	}
+	c := MustNew(m.Cfg)
 	for i, s := range sizes {
 		if got := c.Alloc(s); got != addrs[i] {
 			t.Errorf("replayed Alloc(%d) = %#x, original %#x", s, got, addrs[i])
@@ -139,8 +137,51 @@ func TestCloneRewindHeapReplaysAllocations(t *testing.T) {
 	if c.AllocatedPages() != m.AllocatedPages() {
 		t.Errorf("replayed heap has %d pages, original %d", c.AllocatedPages(), m.AllocatedPages())
 	}
-	if m.heap != c.heap {
-		t.Errorf("heap cursors diverge: %d vs %d", m.heap, c.heap)
+	if m.Bytes() != c.Bytes() || m.Bytes() <= int64(len(m.lineState))*4 {
+		t.Errorf("Bytes: %d and %d, want equal and above the directory's %d", m.Bytes(), c.Bytes(), len(m.lineState)*4)
+	}
+}
+
+type callLog []string
+
+func (l *callLog) Record(op Op, arg uint64, n int, stride uint64) {
+	*l = append(*l, fmt.Sprintf("%d:%d:%d:%d", op, arg, n, stride))
+}
+
+// TestRecorderSeesEveryCall: an attached recorder sees the six CPU calls
+// with their arguments, in order, in free-run mode too (where the calls
+// themselves are inert); clones start without it and detaching stops it.
+func TestRecorderSeesEveryCall(t *testing.T) {
+	m := MustNew(cloneConfig())
+	c := m.CPU(1)
+	var log callLog
+	c.SetRecorder(&log)
+	drive := func() {
+		c.Load(64)
+		c.Store(128)
+		c.LoadRun(256, 4, 8)
+		c.StoreRun(512, 2, 16)
+		c.Flops(3)
+		c.Advance(7)
+	}
+	drive()
+	m.SetFreeRun(true)
+	before := c.Stat()
+	drive()
+	m.SetFreeRun(false)
+	if c.Stat() != before {
+		t.Error("free-run calls changed the CPU's counters while recorded")
+	}
+	want := []string{"0:64:1:0", "1:128:1:0", "2:256:4:8", "3:512:2:16", "4:3:0:0", "5:7:0:0"}
+	want = append(want, want...)
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Errorf("recorded %v, want %v", log, want)
+	}
+	m.Clone().CPU(1).Load(64)
+	c.SetRecorder(nil)
+	c.Load(64)
+	if len(log) != len(want) {
+		t.Errorf("a clone or a detached CPU recorded: %d calls, want %d", len(log), len(want))
 	}
 }
 

@@ -240,6 +240,9 @@ func (c *Cache) AccessLines(addr uint64, nLines, firstCount, perLine, lastCount 
 	return misses, missAddr, missVer
 }
 
+// Bytes returns the size of the cache's tag, version and age arrays.
+func (c *Cache) Bytes() int64 { return int64(len(c.tags)) * (8 + 4 + 8) }
+
 // Clone returns a deep copy of the cache: tags, coherence versions, LRU
 // state and hit/miss counters. Subsequent accesses to either copy leave
 // the other bit-for-bit untouched, which is what lets a forked machine

@@ -100,6 +100,9 @@ func (t *TLB) LookupRun(vpn uint64, gen uint32, n int) bool {
 	return hit
 }
 
+// Bytes returns the size of the TLB's entry arrays.
+func (t *TLB) Bytes() int64 { return int64(len(t.vpns)) * (8 + 4 + 8) }
+
 // Clone returns a deep copy of the TLB: resident translations with their
 // shootdown generations, LRU state and hit/miss counters. See
 // Cache.Clone for the snapshot/fork use.

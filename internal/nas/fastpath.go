@@ -21,9 +21,6 @@ type FastPath struct {
 	// Extrapolated: the trailing iterations were fast-forwarded
 	// analytically (Result.ExtrapolatedIters of them).
 	Extrapolated bool `json:"extrapolated,omitempty"`
-	// TailCacheHit: the free-run verification tail was skipped because a
-	// numerically identical run had already verified (Config.TailCache).
-	TailCacheHit bool `json:"tail_cache_hit,omitempty"`
 	// WhyNot explains why fast-forwarding declined. Nil when it engaged
 	// (Extrapolated), or when SteadyState was never armed.
 	WhyNot *WhyNot `json:"why_not,omitempty"`
@@ -139,16 +136,16 @@ type HostStages struct {
 	// touch, cold iteration, reset) — or, for a forked cell, the wait
 	// for the shared prefix snapshot.
 	Prefix time.Duration `json:"prefix,omitempty"`
-	// Fork: cloning the prefix snapshot and rebuilding the kernel on it.
+	// Fork: cloning the prefix snapshot.
 	Fork time.Duration `json:"fork,omitempty"`
+	// Record: recording the kernel's access program (free-run steps),
+	// or waiting for a recording another cell leads.
+	Record time.Duration `json:"record,omitempty"`
 	// TimedLoop: the simulated iterations of the timed main loop.
 	TimedLoop time.Duration `json:"timed_loop,omitempty"`
 	// Extrapolate: applying the proven cycle deltas analytically.
 	Extrapolate time.Duration `json:"extrapolate,omitempty"`
-	// FreeRunTail: re-executing remaining steps in free-run mode for the
-	// numerics (the extrapolation tail).
-	FreeRunTail time.Duration `json:"free_run_tail,omitempty"`
-	// Verify: the numerical check.
+	// Verify: the numerical check, run once per recording.
 	Verify time.Duration `json:"verify,omitempty"`
 }
 
@@ -157,5 +154,5 @@ func (h *HostStages) Sum() time.Duration {
 	if h == nil {
 		return 0
 	}
-	return h.StoreProbe + h.Prefix + h.Fork + h.TimedLoop + h.Extrapolate + h.FreeRunTail + h.Verify
+	return h.StoreProbe + h.Prefix + h.Fork + h.Record + h.TimedLoop + h.Extrapolate + h.Verify
 }

@@ -144,12 +144,18 @@ type Hooks struct {
 	// phaseStart is used by the driver to time the phase.
 	phaseStart int64
 	phasePS    int64
+	// rec, while a program is recorded, takes the phase marks instead.
+	rec *recorder
 }
 
 // PhaseEnter must be called by the kernel right before the marked phase's
 // parallel region (after BeforePhase side effects are charged).
 func (h *Hooks) PhaseEnter(c *machine.CPU) {
 	if h == nil {
+		return
+	}
+	if h.rec != nil {
+		h.rec.mark(0, opPhaseEnter, 0)
 		return
 	}
 	if h.BeforePhase != nil {
@@ -164,6 +170,10 @@ func (h *Hooks) PhaseEnter(c *machine.CPU) {
 // PhaseExit must be called right after the marked phase's join.
 func (h *Hooks) PhaseExit(c *machine.CPU) {
 	if h == nil {
+		return
+	}
+	if h.rec != nil {
+		h.rec.mark(0, opPhaseExit, 0)
 		return
 	}
 	h.phasePS += c.Now() - h.phaseStart
@@ -189,7 +199,13 @@ type Kernel interface {
 	// region would shift every page's home by one node.
 	InitTouch(t *omp.Team)
 	// Step executes one timestep as a sequence of parallel regions on
-	// the team, invoking hooks around the marked phase if any.
+	// the team, invoking hooks around the marked phase if any. Step may
+	// touch the machine only through the team's omp constructs and the
+	// CPU calls Load, Store, LoadRun, StoreRun, Flops and Advance (with
+	// the hooks' PhaseEnter/PhaseExit on the master): the timed loop
+	// replays a recording of exactly those calls (see Program), so any
+	// other effect — a page-table write, a clock read steering control
+	// flow, an omp Critical — would be lost or is refused.
 	Step(t *omp.Team, h *Hooks)
 	// Reinit restores the initial data (used to discard the cold-start
 	// iteration's results) without touching simulated memory.
@@ -212,8 +228,7 @@ type Builder func(m *machine.Machine, class Class, scale int, seed uint64) Kerne
 // used by sweep requests (cmd/sweepd's POST /v1/jobs) and store records:
 // enums encode as their figure labels (Class "W", Placement "ft", UPM
 // "upmlib") via their MarshalText methods, and the non-serializable
-// observation hooks (Tweak, Tracer, Metrics, TailCache) are excluded —
-// exactly the fields Fingerprint refuses to encode.
+// hooks (Tweak, Tracer, Metrics, HostStages) are excluded.
 type Config struct {
 	Class      Class       `json:"class"`
 	Placement  vm.Policy   `json:"placement"`
@@ -260,28 +275,20 @@ type Config struct {
 	// map it records the iteration in Result.SteadyAt and extrapolates:
 	// the remaining iterations' virtual time and counters are added
 	// analytically (the proven cycle of deltas, each position times its
-	// multiplicity) and the kernel re-executes the remaining steps in
-	// free-run mode so the numerics still reach their exact final state
-	// for Verify. Every virtual-time quantity of the Result is
+	// multiplicity); Verify's verdict comes from the recorded program,
+	// which ran every step. Every virtual-time quantity of the Result is
 	// bit-identical to the fully simulated run (steady_test.go proves it
 	// per benchmark and engine). Ignored when Metrics is attached: the
 	// sampler needs every iteration simulated.
 	SteadyState bool `json:"steady_state,omitempty"`
-	// TailCache, when non-nil, shares verification outcomes between runs
-	// with identical numerics (see VerifyCache). An extrapolating run
-	// that finds its trajectory already verified skips the free-run
-	// re-execution of its tail; every verified run seeds the cache.
-	// Attach one cache per sweep. Results are bit-identical with or
-	// without it, so it does not partition the fingerprint space.
-	TailCache *VerifyCache `json:"-"`
 	// HostStages, when non-nil, receives the run's host wall-clock cost
-	// split by stage (prefix, fork, timed loop, extrapolation, free-run
-	// tail, verification). Pure observation of the host clock: nothing
+	// split by stage (prefix, fork, recording, timed loop, extrapolation,
+	// verification). Pure observation of the host clock: nothing
 	// simulated reads it, no virtual time is charged, and without a sink
 	// not even time.Now is called, so armed and unarmed runs are
-	// bit-identical in every virtual quantity. Like TailCache it never
-	// partitions the fingerprint space — it is simply absent from the
-	// fingerprint encoding.
+	// bit-identical in every virtual quantity. It never partitions the
+	// fingerprint space — it is simply absent from the fingerprint
+	// encoding.
 	HostStages *HostStages `json:"-"`
 	// Topo selects the machine's shape: a topology.ParseShape string or
 	// preset ("4x2x8", "hier64", "cube:2x2x2"). It overrides the class
@@ -353,11 +360,11 @@ func (c Config) Fingerprint() (string, bool) {
 // record was keyed by before Topo existed. The topology joins the key
 // only as an explicit suffix, and only when canonTopo is non-empty —
 // which is the fingerprint compatibility guarantee: default-shape runs
-// keep their historical keys. The hook fields (Tweak, Tracer, Metrics,
-// TailCache) are retained as always-nil placeholders because their
-// "<nil>" renderings are part of the historical byte layout. Do not
-// reorder, rename or extend this struct; fingerprint_test.go pins its
-// rendering against golden strings.
+// keep their historical keys. The hook fields (Tweak, Tracer, Metrics and
+// the deleted TailCache) are retained as always-nil placeholders because
+// their "<nil>" renderings are part of the historical byte layout. Do
+// not reorder, rename or extend this struct; fingerprint_test.go pins
+// its rendering against golden strings.
 type fingerprintView struct {
 	Class        Class
 	Placement    vm.Policy
@@ -377,7 +384,7 @@ type fingerprintView struct {
 	SteadyState  bool
 	Extrapolate  bool
 	SteadyWindow int
-	TailCache    *VerifyCache
+	TailCache    *struct{}
 }
 
 // canonTopo returns the canonical topology component of the config's
@@ -539,8 +546,17 @@ func (r Result) String() string {
 // Steps 1–3 are engine-independent by construction (runPrefix reads no
 // engine field of the config); RunPrefix/RunFromSnapshot exploit that to
 // simulate them once per (class, placement, threads, seed, scale) tuple
-// and fork machine clones for the engine variants.
-func Run(build Builder, cfg Config) (Result, error) {
+// and fork machine clones for the engine variants. The timed loop
+// replays the kernel's recorded access program (see Program); Run
+// records it first, on its own machine, in free-run mode.
+func Run(build Builder, cfg Config) (Result, error) { return RunShared(build, cfg, nil) }
+
+// RunShared is Run for callers that share access programs between runs,
+// as exp.Cache does: shared receives the run's numeric key and a record
+// function — recording the program on this run's own machine — and
+// returns the program to replay, recorded now or by an earlier run with
+// the same key. A nil shared records unconditionally.
+func RunShared(build Builder, cfg Config, shared func(key string, record func() (*Program, error)) (*Program, error)) (Result, error) {
 	var t0 time.Time
 	if cfg.HostStages != nil {
 		t0 = time.Now()
@@ -552,7 +568,68 @@ func Run(build Builder, cfg Config) (Result, error) {
 	if cfg.HostStages != nil {
 		cfg.HostStages.Prefix += time.Since(t0)
 	}
-	return runMain(m, k, team, cfg)
+	info := infoOf(k)
+	if err := info.check(cfg); err != nil {
+		return Result{}, err
+	}
+	key := programKey(info, cfg, team.Size())
+	rec := func() (*Program, error) { return record(m, k, team, key, info.iterations(cfg), cfg.HostStages) }
+	if shared == nil {
+		shared = func(string, func() (*Program, error)) (*Program, error) { return rec() }
+	}
+	prog, err := shared(key, rec)
+	if err != nil {
+		return Result{}, err
+	}
+	if err := prog.fits(key, m); err != nil {
+		return Result{}, err
+	}
+	return runMain(m, info, team, cfg, newReplay(prog))
+}
+
+// kernelInfo is what the driver reads of a kernel besides its steps,
+// taken once after the build so that a replaying run needs no kernel.
+type kernelInfo struct {
+	name     string
+	iters    int // DefaultIterations
+	hot      [][2]uint64
+	hasPhase bool
+}
+
+func infoOf(k Kernel) kernelInfo {
+	return kernelInfo{name: k.Name(), iters: k.DefaultIterations(), hot: k.HotPages(), hasPhase: k.HasPhase()}
+}
+
+// iterations resolves cfg's timed step count (0 = the class default).
+func (ki kernelInfo) iterations(cfg Config) int {
+	if cfg.Iterations != 0 {
+		return cfg.Iterations
+	}
+	return ki.iters
+}
+
+// check rejects engine protocols the kernel cannot run.
+func (ki kernelInfo) check(cfg Config) error {
+	if cfg.UPM == UPMRecRep && !ki.hasPhase {
+		return fmt.Errorf("nas: %s has no phase change; record-replay does not apply", ki.name)
+	}
+	return nil
+}
+
+// stepper drives the timed loop's steps and knows their Verify verdict.
+// A replay of a recorded Program is the implementation: every run
+// replays.
+type stepper interface {
+	step(t *omp.Team, s int, h *Hooks)
+	verdict() error
+}
+
+// computeScale canonicalises Config.ComputeScale (0 and 1 both mean 1).
+func computeScale(cfg Config) int {
+	if cfg.ComputeScale < 1 {
+		return 1
+	}
+	return cfg.ComputeScale
 }
 
 // runPrefix performs the engine-independent prefix of a run: machine
@@ -587,11 +664,7 @@ func runPrefix(build Builder, cfg Config) (*machine.Machine, Kernel, *omp.Team, 
 	// The effective tracer tees the user's Tracer with the Metrics
 	// sampler, so both observe every machine- and engine-level emission.
 	m.SetTracer(cfg.tracer())
-	scale := cfg.ComputeScale
-	if scale < 1 {
-		scale = 1
-	}
-	k := build(m, cfg.Class, scale, cfg.Seed)
+	k := build(m, cfg.Class, computeScale(cfg), cfg.Seed)
 
 	threads := cfg.Threads
 	if threads == 0 {
@@ -623,15 +696,15 @@ func runPrefix(build Builder, cfg Config) (*machine.Machine, Kernel, *omp.Team, 
 }
 
 // runMain arms the configured migration engines and runs the timed main
-// loop plus verification — everything after the divergence point. The
-// kernel engine attaches here rather than before the cold start: a
+// loop, replaying st's steps — everything after the divergence point.
+// The kernel engine attaches here rather than before the cold start: a
 // disabled engine's barrier hook is a pure no-op, so attaching the
 // engine late is bit-identical to carrying it disabled through the
 // prefix, and it keeps the prefix machine hook-free (barrier hooks are
 // closures and cannot be cloned; see machine.Machine.Clone).
-func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, error) {
-	if cfg.UPM == UPMRecRep && !k.HasPhase() {
-		return Result{}, fmt.Errorf("nas: %s has no phase change; record-replay does not apply", k.Name())
+func runMain(m *machine.Machine, k kernelInfo, team *omp.Team, cfg Config, st stepper) (Result, error) {
+	if err := k.check(cfg); err != nil {
+		return Result{}, err
 	}
 
 	// The kernel engine is enabled only for the timed loop: that is where
@@ -644,7 +717,7 @@ func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, 
 	var u *upm.UPM
 	if cfg.UPM != UPMOff {
 		u = upm.Init(m, cfg.UPMOptions)
-		for _, r := range k.HotPages() {
+		for _, r := range k.hot {
 			u.MemRefCnt(r[0], r[1])
 		}
 	}
@@ -665,29 +738,23 @@ func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, 
 	}
 
 	master := team.Master()
-	res := Result{Kernel: k.Name(), Label: cfg.Label(), Class: cfg.Class, ColdPS: master.Now()}
-	niter := cfg.Iterations
-	if niter == 0 {
-		niter = k.DefaultIterations()
-	}
+	res := Result{Kernel: k.name, Label: cfg.Label(), Class: cfg.Class, ColdPS: master.Now()}
+	niter := k.iterations(cfg)
 	// Arm the sampler at the head of the timed loop: the baseline sample
 	// records the post-reset state every engine starts from, and event
 	// tallies from the untimed cold start are discarded.
 	if cfg.Metrics != nil {
-		cfg.Metrics.Start(m, k.HotPages(), master.Now())
+		cfg.Metrics.Start(m, k.hot, master.Now())
 	}
 	trc := cfg.tracer()
 	start := master.Now()
 	reactivated := false
-	nkey := numericKey(k.Name(), cfg, niter, len(team.Binding()))
-	var tailVerdict verdict
-	haveTail := false
 	// Host-stage accounting: accumulated locally and folded into the
 	// sink after the loop, so TimedLoop is the loop's wall time minus
-	// the analytic and free-run spans it contains.
+	// the analytic span it contains.
 	hs := cfg.HostStages
 	var loopStart time.Time
-	var extraHost, freeHost time.Duration
+	var extraHost time.Duration
 	if hs != nil {
 		loopStart = time.Now()
 	}
@@ -698,7 +765,7 @@ func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, 
 				Kind: trace.EvIterStart, Arg0: int64(step)})
 		}
 		hooks := stepHooks(u, cfg.UPM, step)
-		k.Step(team, hooks)
+		st.step(team, step, hooks)
 		// Sample between the step's compute and the engine invocation:
 		// this is the last point where the reference-counter rows hold
 		// the iteration's accumulated refs (MigrateMemory resets the
@@ -793,43 +860,14 @@ func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, 
 			trc.Emit(trace.Event{Time: master.Now(), CPU: master.ID,
 				Kind: trace.EvExtrapolate, Arg0: r, Arg1: addedIter})
 		}
-		// The tail's numerics have exactly one consumer: Verify. When
-		// its answer is already known — the check is skipped, or a run
-		// with the same numeric trajectory verified it (VerifyCache) —
-		// re-executing the remaining steps is pure waste.
-		if cfg.SkipVerify {
-			break
-		}
-		if cfg.TailCache != nil {
-			if v, ok := cfg.TailCache.get(nkey); ok {
-				tailVerdict, haveTail = v, true
-				break
-			}
-		}
-		// Re-execute the remaining steps in free-run mode: clocks are
-		// frozen and accesses charge nothing, but the kernel's data
-		// advances exactly as a simulated run's would, so Verify sees
-		// the true final numerics. Engine calls are skipped (empty
-		// hooks, no MigrateMemory) — on the proven orbit they only move
-		// time and page homes, never kernel values.
-		if hs != nil {
-			t0 = time.Now()
-		}
-		m.SetFreeRun(true)
-		for fs := step + 1; fs <= niter; fs++ {
-			k.Step(team, &Hooks{})
-		}
-		m.SetFreeRun(false)
-		if hs != nil {
-			freeHost += time.Since(t0)
-		}
+		// The skipped steps' numerics need no re-execution: the
+		// recording ran every step and holds Verify's verdict.
 		break
 	}
 	res.TotalPS = master.Now() - start
 	if hs != nil {
-		hs.TimedLoop += time.Since(loopStart) - extraHost - freeHost
+		hs.TimedLoop += time.Since(loopStart) - extraHost
 		hs.Extrapolate += extraHost
-		hs.FreeRunTail += freeHost
 	}
 
 	if u != nil {
@@ -838,31 +876,16 @@ func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, 
 	res.KmigMoves = eng.Migrations()
 	res.KmigCost = eng.Cost()
 	res.Mach = m.Stats()
-	for _, r := range k.HotPages() {
+	for _, r := range k.hot {
 		res.PagesTotal += int(r[1] - r[0])
 	}
 	if !cfg.SkipVerify {
-		var t0 time.Time
-		if hs != nil {
-			t0 = time.Now()
-		}
-		if haveTail {
-			res.Verified, res.VerifyErr = tailVerdict.verified, tailVerdict.err
-		} else {
-			res.VerifyErr = k.Verify()
-			res.Verified = res.VerifyErr == nil
-			if cfg.TailCache != nil {
-				cfg.TailCache.put(nkey, verdict{res.Verified, res.VerifyErr})
-			}
-		}
-		if hs != nil {
-			hs.Verify += time.Since(t0)
-		}
+		res.VerifyErr = st.verdict()
+		res.Verified = res.VerifyErr == nil
 	}
 	res.FastPath = FastPath{
 		SteadyDetected: res.SteadyAt > 0,
 		Extrapolated:   res.ExtrapolatedIters > 0,
-		TailCacheHit:   haveTail,
 	}
 	if cfg.SteadyState && res.ExtrapolatedIters == 0 {
 		res.FastPath.WhyNot = runWhyNot(cfg, det, res)

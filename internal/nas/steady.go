@@ -31,10 +31,9 @@ package nas
 // placement and period. k=1 reduces to the original period-one detector:
 // same firing iteration, same extrapolation.
 //
-// The kernel's numerics are not extrapolated: the driver re-executes the
-// remaining steps in the machine's free-run mode, where data movement is
-// real but clocks are frozen and accesses charge nothing, so Verify sees
-// the same floating-point state as a fully simulated run.
+// The kernel's numerics are not extrapolated, and need not be: the timed
+// loop replays a program recorded from a free-run execution of every
+// step, which also ran Verify on the final floating-point state.
 
 import (
 	"upmgo/internal/kmig"

@@ -234,57 +234,9 @@ func TestSteadyForkBitIdentity(t *testing.T) {
 	}
 }
 
-// TestSteadyTailCache: runs that share a numeric trajectory share one
-// verification — an extrapolating run that finds its trajectory already
-// verified skips the free-run tail yet reports a Result bit-identical to
-// the fully simulated run of its own engine. Placement and engine
-// variants land on one cache entry; a different seed gets its own.
-func TestSteadyTailCache(t *testing.T) {
-	vc := nas.NewVerifyCache()
-	base := nas.Config{Class: nas.ClassS, Placement: vm.FirstTouch, Threads: 1,
-		Iterations: 12, SteadyState: true, TailCache: vc}
-	engines := []func(c *nas.Config){
-		func(c *nas.Config) {},
-		func(c *nas.Config) { c.KernelMig = true },
-		func(c *nas.Config) { c.UPM = nas.UPMDistribute; c.Placement = vm.WorstCase },
-	}
-	for i, set := range engines {
-		cfg := base
-		set(&cfg)
-		cached, err := nas.Run(sp.New, cfg)
-		if err != nil {
-			t.Fatalf("engine %d: %v", i, err)
-		}
-		plain := cfg
-		plain.SteadyState, plain.TailCache = false, nil
-		want, err := nas.Run(sp.New, plain)
-		if err != nil {
-			t.Fatalf("engine %d plain: %v", i, err)
-		}
-		if !reflect.DeepEqual(want, maskSteady(cached)) {
-			t.Errorf("engine %d: tail-cached run diverges from simulated:\n plain  %+v\n cached %+v",
-				i, want, cached)
-		}
-		if !cached.Verified {
-			t.Errorf("engine %d: tail-cached run not verified", i)
-		}
-	}
-	if vc.Len() != 1 {
-		t.Errorf("engine variants filled %d cache entries, want 1 shared trajectory", vc.Len())
-	}
-	other := base
-	other.Seed = 7
-	if _, err := nas.Run(sp.New, other); err != nil {
-		t.Fatal(err)
-	}
-	if vc.Len() != 2 {
-		t.Errorf("distinct seed reused the trajectory entry: %d entries, want 2", vc.Len())
-	}
-}
-
-// TestSteadySkipVerifyTail: with SkipVerify nothing ever observes the
-// kernel's final numerics, so an extrapolating run drops the free-run
-// tail outright — and still matches the fully simulated run bit for bit.
+// TestSteadySkipVerifyTail: with SkipVerify an extrapolating run
+// reports no verdict — and still matches the fully simulated run bit for
+// bit.
 func TestSteadySkipVerifyTail(t *testing.T) {
 	cfg := nas.Config{Class: nas.ClassS, Placement: vm.FirstTouch, Threads: 1,
 		Iterations: 12, SkipVerify: true}
@@ -308,8 +260,8 @@ func TestSteadySkipVerifyTail(t *testing.T) {
 
 // TestSteadyFingerprintCanonicalisation: a steady and a plain run
 // (whose SteadyAt fields differ) never share a cache entry, while
-// attaching a tail cache — bit-identical by construction — never
-// partitions the key space.
+// attaching a host-stage sink — observation only — never partitions the
+// key space.
 func TestSteadyFingerprintCanonicalisation(t *testing.T) {
 	base := nas.Config{Class: nas.ClassS, Placement: vm.FirstTouch}
 	fplain, ok := base.Fingerprint()
@@ -323,10 +275,10 @@ func TestSteadyFingerprintCanonicalisation(t *testing.T) {
 		t.Error("steady and plain configs share a fingerprint; SteadyAt would go stale in the cache")
 	}
 	d := base
-	d.TailCache = nas.NewVerifyCache()
+	d.HostStages = &nas.HostStages{}
 	fd, _ := d.Fingerprint()
 	if fd != fplain {
-		t.Errorf("attaching a tail cache changed the fingerprint:\n %q\n %q", fd, fplain)
+		t.Errorf("attaching a host-stage sink changed the fingerprint:\n %q\n %q", fd, fplain)
 	}
 }
 
@@ -335,17 +287,22 @@ func TestSteadyFingerprintCanonicalisation(t *testing.T) {
 // hot array (512 bytes, L1-resident after the cold start) and charges a
 // compute-time modulation of period workPeriod whose iterations all
 // differ, so the reference string is a genuine period-workPeriod orbit.
-// At the first timed step it seeds the dead pages' reference-counter
-// rows from node 1, staging a kernel-migration campaign the engine then
-// works through at MaxPerScan pages per scan.
+// The dead pages are first-touched from node 1; the first step after a
+// build or Reinit reads each of them deadSeedPasses times from the
+// master (node 0), every read an L2 miss, which stages a kernel-migration
+// campaign the engine then works through at MaxPerScan pages per scan.
+// The staging is made of CPU calls inside a region, so a recorded
+// program replays it like any other access.
 type synthKernel struct {
 	m          *machine.Machine
 	hot, dead  *machine.Array
 	workPeriod int
 	steps      int
-	timed      bool // set by Reinit: the prefix's cold start is over
-	seeded     bool
 }
+
+// deadSeedPasses is how many misses the first step charges each dead
+// page: enough to outweigh any engine threshold.
+const deadSeedPasses = 255
 
 // synthBuilder returns a nas.Builder for a synthetic kernel with the given
 // number of dead campaign pages and compute-modulation period (0 = uniform
@@ -377,28 +334,35 @@ func (k *synthKernel) InitTouch(t *omp.Team) {
 				_ = i
 			}
 			if k.dead != nil {
-				// Home the dead pages on the toucher's node; they are never
-				// accessed again, so their rows change only by seeding.
+				// Home the dead pages on node 1 (the first CPU there
+				// touches them, in the prefix's serial cold start); only
+				// the first step's staging reads them again.
+				far := k.m.CPU(k.m.Cfg.CPUsPerNode)
 				for base := 0; base < k.dead.Len(); base += k.m.PageBytes() / 8 {
-					k.dead.MutRun(c, base, 1)
+					k.dead.MutRun(far, base, 1)
 				}
 			}
 		})
 	})
 }
 
-func (k *synthKernel) Reinit() { k.steps = 0; k.timed = true }
+func (k *synthKernel) Reinit() { k.steps = 0 }
 
 func (k *synthKernel) Step(t *omp.Team, h *nas.Hooks) {
 	k.steps++
-	if k.timed && !k.seeded && k.dead != nil {
-		// Stage the campaign: every dead page looks heavily referenced from
-		// node 1. Host-side seeding, not simulated accesses.
-		lo, hi := k.dead.PageRange()
-		for vpn := lo; vpn < hi; vpn++ {
-			k.m.PT.CountMissN(vpn, 1, 255)
-		}
-		k.seeded = true
+	if k.steps == 1 && k.dead != nil {
+		// Stage the campaign: every dead page looks heavily referenced
+		// from node 0. One line per page, cycled through far more pages
+		// than the caches hold, so every read misses.
+		page := uint64(k.m.PageBytes())
+		pages := k.dead.Len() * 8 / int(page)
+		t.ParallelNamed("seed", func(tr *omp.Thread) {
+			if tr.ID == 0 {
+				for pass := 0; pass < deadSeedPasses; pass++ {
+					tr.CPU.LoadRun(k.dead.Base(), pages, page)
+				}
+			}
+		})
 	}
 	extra := 0
 	if k.workPeriod > 1 {

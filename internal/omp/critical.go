@@ -36,6 +36,9 @@ const (
 // anonymous section.
 func (tr *Thread) Critical(name string, f func(c *machine.CPU)) {
 	t := tr.team
+	if t.rec != nil {
+		t.rec.Critical(tr.ID)
+	}
 	t.critMu.Lock()
 	if t.crit == nil {
 		t.crit = make(map[string]*critSection)

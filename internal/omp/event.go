@@ -47,6 +47,9 @@ func NewEventSet(t *Team, tags int) *EventSet {
 	return e
 }
 
+// Tags returns the number of tags per thread.
+func (e *EventSet) Tags() int { return e.tags }
+
 func (e *EventSet) cell(owner, tag int) *eventCell {
 	if owner < 0 || owner >= e.team.n || tag < 0 || tag >= e.tags {
 		panic(fmt.Sprintf("omp: event (%d,%d) out of range (%d threads, %d tags)", owner, tag, e.team.n, e.tags))
@@ -57,7 +60,11 @@ func (e *EventSet) cell(owner, tag int) *eventCell {
 // Post publishes (tr.ID, tag) at the caller's current virtual time and
 // charges a small flag-write cost.
 func (e *EventSet) Post(tr *Thread, tag int) {
-	tr.CPU.Advance(postCost)
+	if r := e.team.rec; r != nil {
+		r.EventPost(tr.ID, e, tag)
+	} else {
+		tr.CPU.Advance(postCost)
+	}
 	c := e.cell(tr.ID, tag)
 	c.mu.Lock()
 	c.posted = true
@@ -87,6 +94,10 @@ func (e *EventSet) Wait(tr *Thread, owner, tag int) {
 	}
 	post := c.clock
 	c.mu.Unlock()
+	if r := e.team.rec; r != nil {
+		r.EventWait(tr.ID, e, owner, tag)
+		return
+	}
 	if post+waitCost > tr.CPU.Now() {
 		tr.CPU.SetClock(post + waitCost)
 	} else {
@@ -98,6 +109,9 @@ func (e *EventSet) Wait(tr *Thread, owner, tag int) {
 // parallel regions, or by a Single inside one) before the events are
 // reused for the next sweep.
 func (e *EventSet) Reset() {
+	if r := e.team.rec; r != nil {
+		r.EventReset(e)
+	}
 	for i := range e.cells {
 		c := &e.cells[i]
 		c.mu.Lock()

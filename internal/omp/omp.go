@@ -86,7 +86,36 @@ type Team struct {
 
 	critMu sync.Mutex
 	crit   map[string]*critSection
+
+	rec Recorder // nil unless a recording is attached (SetRecorder)
 }
+
+// Recorder observes a team's fork/join structure while attached with
+// SetRecorder: together with machine.Recorder on each member's CPU it
+// sees every call a region body makes, in each member's own order.
+type Recorder interface {
+	// Fork runs on the master's goroutine before a region's bodies.
+	Fork(name string)
+	// Done runs on a member's goroutine when its region body returns.
+	Done(thread int)
+	// Barrier runs when a member arrives at a barrier (including the
+	// barriers inside For, reductions and Single).
+	Barrier(thread int)
+	// Critical runs when a member enters a critical section, whose
+	// clock hand-off cannot be recorded as CPU calls.
+	Critical(thread int)
+	// EventPost, EventWait and EventReset run for the EventSet calls of
+	// the same names, in place of the clock effects Post and Wait charge
+	// (a recording runs in free-run mode, where those are inert anyway).
+	// Reset has no thread: it runs at a quiescent point on the master or
+	// on thread 0, and is attributed to thread 0.
+	EventPost(thread int, e *EventSet, tag int)
+	EventWait(thread int, e *EventSet, owner, tag int)
+	EventReset(e *EventSet)
+}
+
+// SetRecorder attaches r to the team; nil detaches it.
+func (t *Team) SetRecorder(r Recorder) { t.rec = r }
 
 // NewTeam creates a team of n threads on m. n must be between 1 and the
 // machine's CPU count.
@@ -182,6 +211,14 @@ func (t *Team) Parallel(body func(tr *Thread)) { t.parallel("", body) }
 func (t *Team) ParallelNamed(name string, body func(tr *Thread)) { t.parallel(name, body) }
 
 func (t *Team) parallel(name string, body func(tr *Thread)) {
+	if t.rec != nil {
+		t.rec.Fork(name)
+		inner := body
+		body = func(tr *Thread) {
+			inner(tr)
+			t.rec.Done(tr.ID)
+		}
+	}
 	if t.m.FreeRun() {
 		// Free-run: clocks are frozen and Settle/SetClock/Tracer are
 		// inert, so skip the timing choreography and just execute the
@@ -445,6 +482,9 @@ func (b *clockBarrier) reset(start int64) {
 // lastFn (if any), settles clocks, and releases the others.
 func (b *clockBarrier) wait(tr *Thread, lastFn func()) {
 	t := tr.team
+	if t.rec != nil {
+		t.rec.Barrier(tr.ID)
+	}
 	if trc := t.m.Tracer(); trc != nil {
 		trc.Emit(trace.Event{Time: tr.CPU.Now(), CPU: tr.CPU.ID, Kind: trace.EvBarrierArrive})
 	}

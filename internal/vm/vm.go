@@ -201,6 +201,12 @@ func (pt *PageTable) Clone() *PageTable {
 // Pages returns the arena size in pages.
 func (pt *PageTable) Pages() int { return len(pt.home) }
 
+// Bytes returns the size of the table's per-page state.
+func (pt *PageTable) Bytes() int64 {
+	return 4 * int64(len(pt.home)+len(pt.gen)+len(pt.frozen)+len(pt.prev)+
+		len(pt.counters)+len(pt.repl)+len(pt.written))
+}
+
 // Nodes returns the node count.
 func (pt *PageTable) Nodes() int { return pt.topo.Nodes() }
 

@@ -176,8 +176,9 @@ type (
 	// engine-independent cold start (machine build, allocation,
 	// initialisation, the serial first-touch iteration). Build one with
 	// RunNASPrefix, then fork any number of engine variants from it with
-	// its RunFromSnapshot method; at Threads 1 a fork is bit-identical to
-	// RunNAS from scratch.
+	// its RunFromSnapshot method — or record each numeric trajectory's
+	// access program once with Record and fork replays of it with Replay;
+	// at Threads 1 a fork is bit-identical to RunNAS from scratch.
 	NASPrefix = nas.Prefix
 )
 
